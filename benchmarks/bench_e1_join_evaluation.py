@@ -100,10 +100,10 @@ def test_e1_indexed_scans_fewer_tuples(tightness):
 
 
 @pytest.mark.benchmark(group="E1 join executions")
-@pytest.mark.parametrize("execution", ["indexed", "scan", "interned"])
+@pytest.mark.parametrize("execution", ["indexed", "scan", "columnar"])
 def test_e1_join_execution(benchmark, execution):
     """The same workload under each join execution — the hash path's win
-    is probe work proportional to matches, not to |L|·|R|; the interned
+    is probe work proportional to matches, not to |L|·|R|; the columnar
     path additionally packs probe keys into dense single ints (and E1's
     0..2 domains ride the identity-codec fast path)."""
     instances = _instances(0.4)

@@ -1,15 +1,13 @@
 """Micro-benchmarks guarding the columnar physical layer.
 
 Two workload families carry the columnar execution's perf claims, each with
-an in-run ratio assertion against the ``interned`` code-space plane (the
-previous fastest execution — itself guarded against ``indexed`` by
-``bench_micro_interning.py``):
+an in-run ratio assertion against the fastest row-at-a-time alternative:
 
 * **E1-shaped joins** — a selective three-way chain join (the Proposition
   2.1 join-evaluation shape at database scale).  The columnar fold packs
   both sides' keys and resolves every probe with one ``searchsorted``
-  sweep, where the interned fold walks a Python loop per probe row.  The
-  guard asserts the columnar execution wins wall-clock on the warm
+  sweep, where the ``indexed`` fold walks a Python loop per probe row.
+  The guard asserts the columnar execution wins wall-clock on the warm
   (stores/indexes memoized) pipeline — measured ≈3× here.
 
 * **dense-AC revisions (E4's dense regime)** — arc-consistency propagation
@@ -18,8 +16,8 @@ previous fastest execution — itself guarded against ``indexed`` by
   amortizes away; ``bench_e4_consistency.py`` covers the cold path).  A
   bitset revision walks candidate values one at a time; the columnar
   constraint answers all of them with one packed byte-matrix sweep.  The
-  guard asserts **≥5× wall-clock** over ``interned`` — measured ≈7–8× on
-  this family — which is the ISSUE 8 acceptance ratio.
+  guard asserts **≥5× wall-clock** over the ``interned`` bitset
+  propagation engine — measured ≈7–8× on this family.
 
 Both guards require numpy (the vectorized backend); without it the
 columnar kernels run their stdlib fallbacks, which match results but not
@@ -103,12 +101,12 @@ def _best_of(fn, rounds=9):
 # -- parity (always runs, numpy or not) ---------------------------------------
 
 
-def test_columnar_matches_interned_on_both_workloads():
+def test_columnar_matches_row_oracles_on_both_workloads():
     """The honesty floor under every ratio below: identical join relations
     and identical AC fixpoints, with the columnar counters actually moving
     (so the ratios compare the kernels they claim to compare)."""
     rels = _join_workload()
-    expected = join_all(rels, execution="interned")
+    expected = join_all(rels, execution="indexed")
     with collect_stats() as stats:
         got = join_all(rels, execution="columnar")
     assert got == expected
@@ -123,7 +121,7 @@ def test_columnar_matches_interned_on_both_workloads():
 
 
 @pytest.mark.benchmark(group="micro columnar: E1 chain join")
-@pytest.mark.parametrize("execution", ["interned", "columnar"])
+@pytest.mark.parametrize("execution", ["indexed", "columnar"])
 def test_micro_e1_chain_join(benchmark, execution):
     rels = _join_workload()
     join_all(rels, execution=execution)  # warm stores/indexes
@@ -131,21 +129,21 @@ def test_micro_e1_chain_join(benchmark, execution):
     assert len(result) > 0
 
 
-def test_micro_columnar_join_beats_interned_on_e1_chain():
+def test_micro_columnar_join_beats_indexed_on_e1_chain():
     """In-run guard: on the warm E1-shaped chain the columnar fold beats
-    the interned fold wall-clock (measured ≈3×; asserted ≥1.5× to absorb
+    the indexed fold wall-clock (measured ≈3×; asserted ≥1.5× to absorb
     scheduler noise)."""
     if numpy_backend() is None:
         pytest.skip("wall-clock ratio requires the numpy backend")
     rels = _join_workload()
-    for execution in ("interned", "columnar"):
+    for execution in ("indexed", "columnar"):
         join_all(rels, execution=execution)  # warm both pipelines
-    interned = _best_of(lambda: join_all(rels, execution="interned"), rounds=5)
+    indexed = _best_of(lambda: join_all(rels, execution="indexed"), rounds=5)
     columnar = _best_of(lambda: join_all(rels, execution="columnar"), rounds=5)
-    assert columnar * 1.5 < interned, (
+    assert columnar * 1.5 < indexed, (
         f"columnar join ratio collapsed on the E1 chain: "
-        f"{columnar * 1e3:.1f}ms vs interned {interned * 1e3:.1f}ms "
-        f"({interned / columnar:.2f}x)"
+        f"{columnar * 1e3:.1f}ms vs indexed {indexed * 1e3:.1f}ms "
+        f"({indexed / columnar:.2f}x)"
     )
 
 
@@ -161,7 +159,7 @@ def test_micro_dense_ac_propagation(benchmark, strategy):
 
 
 def test_micro_columnar_revise_beats_interned_5x_on_dense_ac():
-    """ISSUE 8 acceptance criterion: ≥5× wall-clock over ``interned`` on a
+    """≥5× wall-clock over the ``interned`` bitset engine on a
     dense E4 workload.  Engines are prebuilt (the MAC/SAC steady state);
     the timed quantity is propagation to the AC fixpoint, which is pure
     revise-kernel work.  Measured ≈7–8× on this family."""

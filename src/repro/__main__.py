@@ -18,10 +18,6 @@
   search}`` — run one workload under the span tracer and print the
   EXPLAIN-ANALYZE-style profile (per-operator durations, cardinalities,
   % of total); ``--jsonl`` emits the raw event stream instead.
-* Both ``stats`` and ``profile`` accept ``--workers N``: with ``N >= 2``
-  the parallel execution plane fans shard/subtree work across the
-  worker-process pool and a per-worker breakdown table (tasks handled,
-  tuples scanned/emitted, search nodes, steals per pid) is appended.
 * ``python -m repro trace --jsonl`` — same trace, always as JSONL (the
   machine-readable form ``tools/validate_trace.py`` checks).
 * ``python -m repro serve`` — a resident
@@ -234,43 +230,8 @@ def propagation_stats_command(args: argparse.Namespace) -> None:
         print(" | ".join(str(c).ljust(10) for c in row))
 
 
-def _print_worker_breakdown(reports, workers: int) -> None:
-    """Aggregate shipped-back per-task worker stats into one row per pid.
-
-    ``reports`` holds :class:`~repro.parallel.WorkerRecord` entries whose
-    ``stats`` is either an EvalStats (join/semijoin/fold shards) or a
-    SearchStats (search subtree tasks); the table shows whichever counters
-    apply and zeros for the rest.
-    """
-    if not reports:
-        print(f"per-worker breakdown: no fan-out happened ({workers} workers)")
-        return
-    by_pid: dict[int, dict] = {}
-    for record in reports:
-        row = by_pid.setdefault(
-            record.pid,
-            {"tasks": 0, "scanned": 0, "emitted": 0, "nodes": 0, "steals": 0},
-        )
-        row["tasks"] += 1
-        row["scanned"] += getattr(record.stats, "tuples_scanned", 0)
-        row["emitted"] += getattr(record.stats, "tuples_emitted", 0)
-        row["nodes"] += getattr(record.stats, "nodes", 0)
-        row["steals"] += getattr(record.stats, "steals", 0)
-    print(f"per-worker breakdown ({workers} workers, {len(reports)} tasks):")
-    header = ("pid", "tasks", "scanned", "emitted", "nodes", "steals")
-    print(" | ".join(str(c).ljust(9) for c in header))
-    for pid in sorted(by_pid):
-        row = by_pid[pid]
-        cells = (pid, row["tasks"], row["scanned"], row["emitted"],
-                 row["nodes"], row["steals"])
-        print(" | ".join(str(c).ljust(9) for c in cells))
-
-
 def stats_command(args: argparse.Namespace) -> None:
     """Run the workload once per strategy and report the counters."""
-    import contextlib
-
-    from repro.parallel import parallel_config, worker_reports
     from repro.relational.planner import EXECUTIONS, STRATEGIES
     from repro.relational.stats import EvalStats, collect_stats
 
@@ -278,26 +239,14 @@ def stats_command(args: argparse.Namespace) -> None:
         dict.fromkeys(s for s in args.strategies if s in STRATEGIES + EXECUTIONS)
     )
     workload = _stats_workload(args.workload, args.seed)
-    fan_out = getattr(args, "workers", 1) >= 2
-    # Threshold 0 so the CLI's modest workloads actually cross the pool;
-    # the config only affects the execution="parallel" strategy rows.
-    config = (
-        parallel_config(workers=args.workers, threshold=0)
-        if fan_out
-        else contextlib.nullcontext()
-    )
     per_strategy: dict[str, EvalStats] = {}
-    all_reports: list = []
-    with config:
-        for strategy in join_strategies:
-            total = EvalStats()
-            with worker_reports() as reports:
-                for _label, run in workload:
-                    with collect_stats() as stats:
-                        run(strategy)
-                    total.merge(stats)
-            all_reports.extend(reports)
-            per_strategy[strategy] = total
+    for strategy in join_strategies:
+        total = EvalStats()
+        for _label, run in workload:
+            with collect_stats() as stats:
+                run(strategy)
+            total.merge(stats)
+        per_strategy[strategy] = total
 
     if args.json:
         from repro.telemetry import payload
@@ -323,20 +272,11 @@ def stats_command(args: argparse.Namespace) -> None:
             f"{st.wall_seconds:.4f}",
         )
         print(" | ".join(str(c).ljust(11) for c in row))
-    if fan_out:
-        print()
-        _print_worker_breakdown(all_reports, args.workers)
 
 
-def _profile_workload(name: str, seed: int, workers: int = 1):
+def _profile_workload(name: str, seed: int):
     """Build the named profile workload: a ``(description, run)`` pair where
-    ``run()`` executes the workload once, to be called under the tracer.
-
-    With ``workers >= 2`` the ``join`` workload runs under the parallel
-    execution plane and ``search`` under work-stealing parallel search;
-    the other workloads are serial by nature and ignore the knob.
-    """
-    fan_out = workers >= 2
+    ``run()`` executes the workload once, to be called under the tracer."""
     if name == "triangle":
         from repro.cq.evaluate import evaluate
         from repro.cq.parser import parse_query
@@ -355,11 +295,6 @@ def _profile_workload(name: str, seed: int, workers: int = 1):
 
         query = chain_query(6)
         db = random_digraph(12, 0.3, seed=seed)
-        if fan_out:
-            return (
-                f"acyclic chain query, hash-sharded joins across {workers} workers",
-                lambda: evaluate(query, db, strategy="parallel"),
-            )
         return (
             "acyclic chain query, strategy=auto (routes to Yannakakis)",
             lambda: evaluate(query, db, strategy="auto"),
@@ -394,11 +329,6 @@ def _profile_workload(name: str, seed: int, workers: int = 1):
         from repro.generators.graphs import cycle_graph
 
         inst = coloring_instance(cycle_graph(11 + (seed % 4) * 2), 3)
-        if fan_out:
-            return (
-                f"work-stealing parallel MAC search across {workers} workers",
-                lambda: solve_with_stats(inst, Inference.MAC, workers=workers),
-            )
         return (
             "MAC backtracking search (batched node spans)",
             lambda: solve_with_stats(inst, Inference.MAC),
@@ -409,28 +339,19 @@ def _profile_workload(name: str, seed: int, workers: int = 1):
 def profile_command(args: argparse.Namespace) -> None:
     """Trace one workload end to end and print the span-tree profile, or
     (with ``--jsonl``) the raw event stream."""
-    import contextlib
     import sys
 
     from repro.consistency.propagation import collect_propagation
-    from repro.parallel import parallel_config, worker_reports
     from repro.relational.stats import collect_stats
     from repro.telemetry import QueryProfile, tracing, write_jsonl
 
-    workers = getattr(args, "workers", 1)
-    description, run = _profile_workload(args.workload, args.seed, workers)
-    config = (
-        parallel_config(workers=workers, threshold=0)
-        if workers >= 2
-        else contextlib.nullcontext()
-    )
+    description, run = _profile_workload(args.workload, args.seed)
     # The stats collectors enter *before* the tracer so the root span opens
     # against fresh zero counters — the topmost span deltas (and hence the
     # reaggregated JSONL) then equal the in-process totals exactly.
-    with config, collect_stats(), collect_propagation():
-        with worker_reports() as reports:
-            with tracing(f"profile:{args.workload}") as trace:
-                run()
+    with collect_stats(), collect_propagation():
+        with tracing(f"profile:{args.workload}") as trace:
+            run()
     if args.jsonl:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fp:
@@ -441,9 +362,6 @@ def profile_command(args: argparse.Namespace) -> None:
         return
     print(f"workload: {args.workload} — {description}  (seed {args.seed})")
     print(QueryProfile(trace).render())
-    if workers >= 2:
-        print()
-        _print_worker_breakdown(reports, workers)
 
 
 def trace_command(args: argparse.Namespace) -> None:
@@ -461,14 +379,6 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
         help="which workload to trace (default: triangle)",
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help=(
-            "with N >= 2, run the join workload via hash-sharded parallel "
-            "execution and the search workload via work-stealing parallel "
-            "search, then print a per-worker breakdown (default: 1, serial)"
-        ),
-    )
     parser.add_argument(
         "--out", default=None, metavar="FILE",
         help="write the JSONL event stream to FILE instead of stdout",
@@ -496,7 +406,7 @@ def main(argv: list[str] | None = None) -> None:
             "or the consistency/pebble propagation workload (default: e1)"
         ),
     )
-    # "interned" names both a join execution and a propagation strategy, so
+    # "columnar" names both a join execution and a propagation strategy, so
     # the combined choice list is deduplicated.
     all_strategies = tuple(
         dict.fromkeys(STRATEGIES + EXECUTIONS + PROPAGATION_STRATEGIES)
@@ -508,20 +418,12 @@ def main(argv: list[str] | None = None) -> None:
         default=list(all_strategies),
         help=(
             "strategies to compare: join orders (greedy/smallest/textbook), "
-            "join executions (indexed/scan/interned/wcoj/columnar/parallel), "
-            "or propagation strategies (residual/naive/interned, for "
-            "--workload propagation); default: all"
+            "join executions (indexed/scan/wcoj/columnar), "
+            "or propagation strategies (residual/naive/interned/columnar, "
+            "for --workload propagation); default: all"
         ),
     )
     stats.add_argument("--seed", type=int, default=0, help="workload seed")
-    stats.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help=(
-            "with N >= 2, the parallel execution rows fan out across N "
-            "pool workers and a per-worker breakdown table is appended "
-            "(default: 1, serial)"
-        ),
-    )
     stats.add_argument("--json", action="store_true", help="machine-readable output")
     profile = sub.add_parser(
         "profile",

@@ -31,8 +31,7 @@ def atom_relation(atom: Atom, database: Structure) -> Relation:
     :meth:`~repro.relational.structure.Structure.derived`: every query over
     the same structure gets back the *same* :class:`Relation` object per
     atom, so hash indexes built by one query's joins are probed for free by
-    the next — the cross-job reuse the :class:`~repro.parallel.coordinator.Coordinator`'s
-    ``"hash"`` routing policy and the :mod:`repro.service` cache lean on.
+    the next — the cross-job reuse the :mod:`repro.service` cache leans on.
     """
     if atom.predicate not in database.vocabulary:
         raise VocabularyError(

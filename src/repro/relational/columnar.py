@@ -6,9 +6,9 @@ conditional lower bounds, so the wall-clock headroom left on the tutorial's
 workloads is constant-factor.  This module buys that factor with a physical
 layer change: a :class:`~repro.relational.relation.Relation` gains a lazily
 built, memoized :class:`ColumnStore` — one stdlib ``array('q')`` of interned
-codes per column (struct of arrays, zero-copy ``memoryview``-able), sharing
-the dense-int :class:`~repro.relational.interning.Codec` discipline of the
-interned data plane — and the hot per-row loops become whole-column sweeps:
+codes per column (struct of arrays, zero-copy ``memoryview``-able), over
+the dense-int :class:`~repro.relational.interning.Codec` code space — and
+the hot per-row loops become whole-column sweeps:
 
 * :func:`mask_select` — selection as a predicate mask applied per column
   (each predicate runs once per *distinct* value, not once per row);
@@ -30,7 +30,7 @@ back to a pure-stdlib loop over the same columns, computing the identical
 result — the fallback is differentially tested by masking numpy out of
 ``sys.modules``.  Either way the row path remains the oracle: the
 differential matrix pins ``execution="columnar"`` to exact row-set
-agreement with ``scan``/``indexed``/``interned``/``wcoj``.
+agreement with ``scan``/``indexed``/``wcoj``.
 
 Accounting is honest, mirroring :func:`repro.relational.algebra.warm_index`:
 the query whose probe first columnizes a relation is charged the build
@@ -432,8 +432,8 @@ def batched_semijoin(left: Relation, right: Relation) -> Relation:
 
 def batched_natural_join(left: Relation, right: Relation) -> Relation:
     """``left ⋈ right`` with a columnized probe side: the build side owns
-    the memoized :class:`~repro.relational.relation.CodeIndex` (the planner
-    picks it exactly as in the interned execution), the probe side's key
+    the memoized :class:`~repro.relational.relation.CodeIndex` (picked by
+    :func:`~repro.relational.planner.choose_build_side`), the probe side's key
     columns are packed and membership-filtered in one batch, and only the
     matching rows enter the Python emit loop.
     """
@@ -552,8 +552,8 @@ def join_all_columnar(pending: Sequence[Relation]) -> Relation:
     """The :func:`repro.relational.algebra.join_all` fold, columnar end to
     end (numpy required — callers check :func:`numpy_backend` first).
 
-    One shared codec interns the union of the operands' active domains (as
-    in the interned pipeline); every operand's memoized column store is
+    One shared codec interns the union of the operands' active domains;
+    every operand's memoized column store is
     translated into shared-code ``int64`` columns; each binary fold step is
     a batched sort-merge probe — pack both sides' keys, ``argsort`` the
     smaller side, ``searchsorted`` every probe key at once, expand the
@@ -574,12 +574,10 @@ def join_all_columnar(pending: Sequence[Relation]) -> Relation:
     # The shared codec interns the union of the operands' active domains,
     # memoized per fold (:func:`repro.relational.interning.fold_codec`): a
     # warm re-fold of the same relations — Datalog rounds, repeated
-    # solvability checks, per-shard fans — skips the repr-sort entirely,
-    # and the interned pipeline folding the same relations shares the
-    # identical codec object.
+    # solvability checks — skips the repr-sort entirely.
     stores = [column_store(rel) for rel in pending]
     codec, codec_built = fold_codec(pending)
-    # The identity-codec fast path of the interned pipeline: a universe
+    # The identity-codec fast path: a universe
     # that is already the dense ints 0..n-1 (in repr order) interns to
     # itself, so the decode boundary can emit the codes directly.
     identity = all(type(v) is int and v == i for i, v in enumerate(codec.values))

@@ -121,8 +121,8 @@ class Codec:
         return {values[c] for c in bit_positions(mask)}
 
     # Only the value tuple crosses a pickle boundary; the code dict is
-    # derived state, rebuilt on arrival — halving the wire size of every
-    # codec a sharded worker receives.
+    # derived state, rebuilt on arrival — halving the wire size of a
+    # pickled codec.
 
     def __getstate__(self) -> Tuple[Any, ...]:
         return self._values
@@ -133,9 +133,9 @@ class Codec:
 
 
 # The memoized fold codecs of :func:`fold_codec`, two tiers.  Profiles show
-# the repr-sort of the shared universe dominating the *warm* interned and
-# columnar join paths, and workloads re-fold the same base relations
-# (Datalog rounds, repeated solvability checks, per-shard fans), so a small
+# the repr-sort of the shared universe dominating the *warm* columnar join
+# path, and workloads re-fold the same base relations
+# (Datalog rounds, repeated solvability checks), so a small
 # cache removes the sort from every repeat.
 #
 # * ``_FOLD_CODECS_BY_ID`` — the fast tier, keyed on the participating

@@ -20,17 +20,13 @@ Three *order* strategies are exposed:
   ``join_all`` order);
 * ``"textbook"`` — keep the given (textual) order, the naive baseline.
 
-Orthogonally, two *execution* modes decide how each binary join/semijoin
+Orthogonally, four *execution* modes decide how each binary join/semijoin
 probes its operands:
 
 * ``"indexed"`` — build-side/probe-side hash execution over the memoized
   per-key-column indexes of :meth:`Relation.index_on` (the default);
 * ``"scan"``    — the nested-loop implementation, kept for differential
   testing;
-* ``"interned"`` — the code-space fast path: key values are interned to
-  dense ints and probed through the radix-packed
-  :meth:`Relation.code_index_on` indexes (``join_all`` additionally runs
-  the whole pipeline over int-encoded rows, decoding at the boundary);
 * ``"wcoj"`` — the worst-case optimal multi-way path: ``join_all``
   abandons the binary fold for the leapfrog triejoin of
   :mod:`repro.relational.wcoj`, which joins variable-at-a-time over
@@ -42,11 +38,7 @@ probes its operands:
   ``array('q')`` code columns, probes run as batched column sweeps
   against the radix-packed code indexes, and ``join_all`` (with numpy
   available) keeps the whole fold in int64 column matrices, decoding
-  tuples once at the boundary;
-* ``"parallel"`` — the shard-parallel path of :mod:`repro.parallel`:
-  operands hash-partition on the canonical join key (interned codes,
-  a single modulo) and the per-shard joins fan out across a persistent
-  worker-process pool, per-worker stats merging back into the parent.
+  tuples once at the boundary.
 
 :func:`parse_strategy` accepts either kind of name, or a compound
 ``"order+execution"`` spec such as ``"smallest+scan"``.  All combinations
@@ -88,14 +80,12 @@ STRATEGIES = ("greedy", "smallest", "textbook")
 #: leapfrog triejoin of :mod:`repro.relational.wcoj` (variable-at-a-time,
 #: no intermediate relations), while a binary join/semijoin under it runs
 #: the two-relation leapfrog / trie-probe special case.  ``"columnar"``
-#: keeps the binary build/probe shape of ``"interned"`` but sweeps whole
-#: probe columns per batch (and, in ``join_all`` with numpy present,
-#: replaces the fold with the end-to-end column-matrix pipeline of
-#: :func:`repro.relational.columnar.join_all_columnar`).  ``"parallel"``
-#: shards the operands by hash-partitioning on the canonical join key and
-#: fans the per-shard joins across the :mod:`repro.parallel` worker pool
-#: (serial fallback below a size threshold; per-worker stats merge back).
-EXECUTIONS = ("indexed", "scan", "interned", "wcoj", "columnar", "parallel")
+#: keeps the binary build/probe shape of ``"indexed"`` but probes the
+#: radix-packed :meth:`Relation.code_index_on` indexes with whole probe
+#: columns per batch (and, in ``join_all`` with numpy present, replaces
+#: the fold with the end-to-end column-matrix pipeline of
+#: :func:`repro.relational.columnar.join_all_columnar`).
+EXECUTIONS = ("indexed", "scan", "wcoj", "columnar")
 
 
 def parse_strategy(

@@ -204,9 +204,8 @@ class Relation:
     #
     # Only the scheme and the rows travel: the memoized hash indexes, code
     # indexes, and column store are derived state, rebuilt lazily on the
-    # other side of the wire — a sharded worker re-derives exactly what it
-    # probes, and a pickled relation costs no more than its rows
-    # (tests/parallel/test_pickling.py pins the size regression).
+    # other side of the wire, so a pickled relation costs no more than its
+    # rows (tests/relational/test_pickling.py pins the size regression).
 
     def __getstate__(self) -> tuple[tuple[str, ...], frozenset[tuple[Any, ...]]]:
         return (self._attributes, self._tuples)
@@ -338,13 +337,13 @@ class Relation:
         return tuple(attributes) in self._indexes
 
     def code_index_on(self, attributes: Sequence[str]) -> CodeIndex:
-        """The interned fast-path counterpart of :meth:`index_on`.
+        """The code-space counterpart of :meth:`index_on`.
 
         Returns a :class:`CodeIndex` whose keys are single radix-packed
         ints over a dense interning of the key-column values.  Like
         :meth:`index_on` it is built lazily and memoized per key-column
         tuple, so the codec and the packed buckets are shared by every
-        later interned join/semijoin probing the same key.
+        later columnar join/semijoin probing the same key.
         """
         attrs = tuple(attributes)
         cached = self._code_indexes.get(attrs)

@@ -12,9 +12,10 @@ the quantity that governs join cost; this module makes it observable.  An
 * ``index_hits`` / ``probe_misses`` — probes that found / did not find a
   matching key in the index,
 * ``tuples_emitted`` — rows produced,
-* ``intern_tables`` / ``bitset_words`` / ``mask_ops`` — interned-execution
-  work: codec + code-index builds, 64-bit words held by packed structures,
-  and word-level membership operations,
+* ``intern_tables`` / ``bitset_words`` / ``mask_ops`` — code-space
+  execution work (``columnar``, ``wcoj``): codec + code-index builds,
+  64-bit words held by packed structures, and word-level membership
+  operations,
 * ``codec_cache_hits`` — fold codecs served from the memo of
   :func:`repro.relational.interning.fold_codec` (each hit is a repr-sort
   of the fold's shared universe that did *not* run),
@@ -25,9 +26,6 @@ the quantity that governs join cost; this module makes it observable.  An
   struct-of-arrays column stores actually built (a memoized hit builds
   nothing), and probe keys swept in batched column lookups (see
   :mod:`repro.relational.columnar`),
-* ``partitions`` / ``parallel_tasks`` — shard-parallel work: hash shards
-  materialized by :mod:`repro.parallel` partitioning, and tasks dispatched
-  to the worker-process pool,
 * ``intermediate_sizes`` — the cardinality of every join result, in order,
 * per-operator invocation counts and wall-clock seconds.
 
@@ -79,8 +77,6 @@ class EvalStats:
     trie_builds: int = 0
     column_builds: int = 0
     batch_probes: int = 0
-    partitions: int = 0
-    parallel_tasks: int = 0
     intermediate_sizes: list[int] = field(default_factory=list)
     operator_counts: dict[str, int] = field(default_factory=dict)
     operator_seconds: dict[str, float] = field(default_factory=dict)
@@ -107,8 +103,6 @@ class EvalStats:
         trie_builds: int = 0,
         column_builds: int = 0,
         batch_probes: int = 0,
-        partitions: int = 0,
-        parallel_tasks: int = 0,
         seconds: float = 0.0,
         intermediate: int | None = None,
     ) -> None:
@@ -128,8 +122,6 @@ class EvalStats:
         self.trie_builds += trie_builds
         self.column_builds += column_builds
         self.batch_probes += batch_probes
-        self.partitions += partitions
-        self.parallel_tasks += parallel_tasks
         self.operator_counts[operator] = self.operator_counts.get(operator, 0) + 1
         self.operator_seconds[operator] = (
             self.operator_seconds.get(operator, 0.0) + seconds
@@ -173,8 +165,6 @@ class EvalStats:
         self.trie_builds += other.trie_builds
         self.column_builds += other.column_builds
         self.batch_probes += other.batch_probes
-        self.partitions += other.partitions
-        self.parallel_tasks += other.parallel_tasks
         self.intermediate_sizes.extend(other.intermediate_sizes)
         self.routing_decisions.extend(other.routing_decisions)
         for op, n in other.operator_counts.items():
@@ -200,8 +190,6 @@ class EvalStats:
         self.trie_builds = 0
         self.column_builds = 0
         self.batch_probes = 0
-        self.partitions = 0
-        self.parallel_tasks = 0
         self.intermediate_sizes = []
         self.operator_counts = {}
         self.operator_seconds = {}
@@ -247,8 +235,6 @@ class EvalStats:
             "trie_builds": self.trie_builds,
             "column_builds": self.column_builds,
             "batch_probes": self.batch_probes,
-            "partitions": self.partitions,
-            "parallel_tasks": self.parallel_tasks,
             "joins": self.joins,
             "max_intermediate": self.max_intermediate,
             "total_intermediate": self.total_intermediate,
@@ -277,8 +263,6 @@ class EvalStats:
             f"trie builds         {self.trie_builds}",
             f"column builds       {self.column_builds}",
             f"batch probes        {self.batch_probes}",
-            f"partitions          {self.partitions}",
-            f"parallel tasks      {self.parallel_tasks}",
             f"joins               {self.joins}",
             f"max intermediate    {self.max_intermediate}",
             f"total intermediate  {self.total_intermediate}",

@@ -332,7 +332,7 @@ def variable_order(relations: Sequence[Relation]) -> tuple[str, ...]:
 
 def _shared_codec(relations: Sequence[Relation]):
     """One codec over the union of the operands' active domains, plus the
-    identity fast path of the interned pipeline: a universe that is already
+    identity fast path: a universe that is already
     the dense ints ``0..n-1`` interns to itself, so both boundary passes
     can be skipped."""
     from repro.relational.interning import Codec

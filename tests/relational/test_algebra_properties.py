@@ -179,22 +179,22 @@ def test_join_indexed_matches_scan(pair):
 
 @settings(max_examples=120, deadline=None)
 @given(relation_pairs())
-def test_join_interned_matches_scan(pair):
+def test_join_columnar_matches_scan(pair):
     """The radix-packed code-space join is observationally identical to the
     nested-loop scan (and hence to the indexed execution) on every input."""
     r, s = pair
-    assert natural_join(r, s, execution="interned") == natural_join(
+    assert natural_join(r, s, execution="columnar") == natural_join(
         r, s, execution="scan"
     )
 
 
 @settings(max_examples=120, deadline=None)
 @given(relation_pairs())
-def test_semijoin_interned_matches_scan_and_shrinks(pair):
+def test_semijoin_columnar_matches_scan_and_shrinks(pair):
     r, s = pair
-    interned = semijoin(r, s, execution="interned")
-    assert interned == semijoin(r, s, execution="scan")
-    assert interned.tuples <= r.tuples
+    columnar = semijoin(r, s, execution="columnar")
+    assert columnar == semijoin(r, s, execution="scan")
+    assert columnar.tuples <= r.tuples
 
 
 @settings(max_examples=120, deadline=None)
@@ -223,7 +223,7 @@ def test_join_all_compound_strategies_agree(r, s, t):
     specs = [
         "greedy+indexed", "greedy+scan", "smallest+scan",
         "textbook+indexed", "textbook+scan", "indexed", "scan",
-        "interned", "greedy+interned", "textbook+interned",
+        "columnar", "greedy+columnar", "textbook+columnar",
     ]
     forms = {
         normalized(join_all([r, s, t], strategy=spec)) for spec in specs

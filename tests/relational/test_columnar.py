@@ -8,7 +8,7 @@ The laws pinned here:
 * **mask-select == row-select** — :func:`mask_select` computes exactly
   ``algebra.select`` with the conjunction of the per-attribute predicates;
 * **batched probe == per-row probe** — :func:`batched_natural_join` and
-  :func:`batched_semijoin` match the ``indexed``/``interned`` row
+  :func:`batched_semijoin` match the ``indexed``/``scan`` row
   executions row for row, and :func:`join_all_columnar` matches
   ``join_all``;
 * **column dedup == sorted distinct projection** — :func:`project_distinct`
@@ -156,7 +156,7 @@ def test_mask_select_empty_predicates_is_identity():
 def test_batched_natural_join_matches_row_oracles(pair):
     left, right = pair
     expected = natural_join(left, right, execution="indexed")
-    assert natural_join(left, right, execution="interned") == expected
+    assert natural_join(left, right, execution="scan") == expected
     assert batched_natural_join(left, right) == expected
 
 

@@ -65,7 +65,7 @@ class TestMixedPipelines:
                               execution="scan")
         mid = natural_join(r, s, execution="scan")
         assert natural_join(mid, t, execution="columnar") == oracle
-        assert natural_join(mid, t, execution="interned") == oracle
+        assert natural_join(mid, t, execution="indexed") == oracle
 
     def test_columnar_join_feeds_row_join(self):
         r = _rel(("a", "b"), [(i, i % 5) for i in range(20)])
@@ -76,19 +76,19 @@ class TestMixedPipelines:
         mid = batched_natural_join(r, s)
         assert natural_join(mid, t, execution="scan") == oracle
 
-    def test_interned_index_reused_by_columnar_probe(self):
-        """An interned join memoizes the build side's CodeIndex; a later
+    def test_code_index_reused_by_later_columnar_probe(self):
+        """A columnar join memoizes the build side's CodeIndex; a later
         columnar probe against the same relation must reuse it (no rebuild)
         even though the probe side's store codec is a different table."""
         build = _rel(("b", "c"), [(i % 6, i) for i in range(18)])
         left1 = _rel(("a", "b"), [(i, i % 6) for i in range(30)])
         left2 = _rel(("a", "b"), [(i, (i + 1) % 9) for i in range(25)])
         oracle = natural_join(left2, build, execution="scan")
-        natural_join(left1, build, execution="interned")  # memoizes the index
+        batched_natural_join(left1, build)  # memoizes the index
         assert build.has_code_index(("b",))
         with collect_stats() as stats:
             assert batched_natural_join(left2, build) == oracle
-        assert stats.index_builds == 0  # shared across the execution boundary
+        assert stats.index_builds == 0  # shared across probe sides
         assert stats.batch_probes == len(left2)
 
     def test_probe_values_unknown_to_build_codec(self):
@@ -123,10 +123,10 @@ class TestMixedPipelines:
         t = _rel(("c", "d"), [(i % 7, i) for i in range(21)])
         r.index_on(("b",))         # row-path hash index
         column_store(s)            # columnar store
-        s.code_index_on(("b",))    # interned code index
+        s.code_index_on(("b",))    # code-space index
         expected = join_all([r, s, t])
         assert join_all([r, s, t], execution="columnar") == expected
-        assert join_all([r, s, t], execution="interned") == expected
+        assert join_all([r, s, t], execution="scan") == expected
 
 
 # -- numpy-absent fallback ---------------------------------------------------

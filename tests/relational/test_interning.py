@@ -222,19 +222,6 @@ class TestFoldCodecCache:
         assert len(interning._FOLD_CODECS) <= interning.FOLD_CODEC_CACHE_CAP
         assert len(interning._FOLD_CODECS_BY_ID) <= interning.FOLD_CODEC_CACHE_CAP
 
-    def test_join_all_interned_charges_codec_cache_hits(self):
-        from repro.relational.algebra import join_all
-        from repro.relational.stats import collect_stats
-
-        rels = self.rels()
-        with collect_stats() as cold:
-            first = join_all(rels, execution="interned")
-        with collect_stats() as warm:
-            second = join_all(rels, execution="interned")
-        assert first == second
-        assert cold.codec_cache_hits == 0
-        assert warm.codec_cache_hits == 1
-
     def test_columnar_encode_charges_codec_cache_hits(self):
         from repro.relational.algebra import join_all
         from repro.relational.stats import collect_stats

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.errors import SolverError
+from repro.relational.algebra import join_all
 from repro.relational.planner import (
+    EXECUTIONS,
     STRATEGIES,
     estimate_join,
     order_relations,
+    parse_strategy,
     plan_join,
     profile,
 )
@@ -119,3 +122,18 @@ def test_order_relations_returns_same_multiset():
     for strategy in STRATEGIES:
         ordered = order_relations(rels, strategy)
         assert sorted(ordered, key=repr) == sorted(rels, key=repr)
+
+
+def test_removed_executions_raise_typed_error_naming_the_survivors():
+    """"interned" and "parallel" are no longer join executions: naming
+    either fails with a SolverError that lists the executions that remain."""
+    assert EXECUTIONS == ("indexed", "scan", "wcoj", "columnar")
+    rels = [rel(("a", "b"), [(1, 2)]), rel(("b", "c"), [(2, 3)])]
+    for attempt in (
+        lambda: parse_strategy("interned"),
+        lambda: parse_strategy("smallest+parallel"),
+        lambda: join_all(rels, execution="parallel"),
+    ):
+        with pytest.raises(SolverError) as info:
+            attempt()
+        assert str(EXECUTIONS) in str(info.value)

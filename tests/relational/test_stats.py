@@ -1,7 +1,11 @@
 """EvalStats behaviour: zero on empty, monotone under composition, no
 cross-query leakage, and the lazy select row view."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relational.algebra import (
     join_all,
@@ -248,3 +252,37 @@ class TestLazySelectRow:
     def test_missing_attribute_raises_keyerror(self):
         with pytest.raises(KeyError):
             select(R, lambda row: row["nope"])
+
+
+def _rel(attrs, n, width, seed):
+    rng = random.Random(seed)
+    return Relation(
+        attrs, {tuple(rng.randrange(width) for _ in attrs) for _ in range(n)}
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), order=st.randoms())
+def test_merge_totals_are_order_insensitive(seed, order):
+    blocks = []
+    for i in range(4):
+        with collect_stats() as stats:
+            natural_join(
+                _rel(("x", "y"), 60, 9, seed + i), _rel(("y", "z"), 60, 9, seed - i)
+            )
+        blocks.append(stats)
+    forward = EvalStats()
+    for b in blocks:
+        forward.merge(b)
+    shuffled = list(blocks)
+    order.shuffle(shuffled)
+    backward = EvalStats()
+    for b in shuffled:
+        backward.merge(b)
+    fdict, bdict = forward.as_dict(), backward.as_dict()
+    # intermediate_sizes is a sequence (order-sensitive by design): compare
+    # as multisets; every scalar total must match exactly.
+    assert sorted(fdict.pop("intermediate_sizes")) == sorted(
+        bdict.pop("intermediate_sizes")
+    )
+    assert fdict == bdict

@@ -64,31 +64,17 @@ def test_stats_json_carries_the_metricset_tag(capsys):
     assert payload["greedy"]["joins"] > 0
 
 
-def test_stats_workers_appends_per_worker_breakdown(capsys):
+def test_stats_interned_names_only_the_propagation_strategy(capsys):
+    """"interned" is a propagation strategy, not a join execution: a join
+    workload runs no rows for it, the propagation workload runs exactly it."""
+    cli.main(["stats", "--workload", "e1", "--strategies", "interned", "--json"])
+    assert json.loads(capsys.readouterr().out) == {}
     cli.main(
-        ["stats", "--workload", "e1", "--strategies", "parallel",
-         "--workers", "2"]
+        ["stats", "--workload", "propagation", "--strategies", "interned", "--json"]
     )
-    out = capsys.readouterr().out
-    assert "per-worker breakdown (2 workers" in out
-    # One row per pid with a positive task count.
-    rows = [l for l in out.splitlines() if l.split("|")[0].strip().isdigit()]
-    assert rows and all(int(r.split("|")[1]) > 0 for r in rows)
-
-
-def test_profile_search_workers_shows_steal_accounting(capsys):
-    cli.main(["profile", "--workload", "search", "--workers", "2"])
-    out = capsys.readouterr().out
-    assert "work-stealing parallel MAC search" in out
-    assert "search.steals" in out
-    assert "per-worker breakdown (2 workers" in out
-
-
-def test_profile_join_workers_routes_to_parallel_execution(capsys):
-    cli.main(["profile", "--workload", "join", "--workers", "2"])
-    out = capsys.readouterr().out
-    assert "hash-sharded joins across 2 workers" in out
-    assert "per-worker breakdown" in out
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["interned"]
+    assert payload["interned"]["metricset"] == "propagation"
 
 
 def test_propagation_stats_json_carries_the_metricset_tag(capsys):

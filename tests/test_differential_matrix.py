@@ -48,16 +48,6 @@ def random_instance(seed: int) -> CSPInstance:
     return CSPInstance(variables, range(d), constraints)
 
 
-def _forced_parallel(fn):
-    """Run ``fn`` with cross-process sharding forced (2 workers, no
-    serial-fallback threshold), so the parallel deciders below genuinely
-    cross the pool even on these tiny instances."""
-    from repro.parallel import parallel_config
-
-    with parallel_config(workers=2, threshold=0):
-        return fn()
-
-
 DECIDERS = [
     ("backtracking-none", lambda i: backtracking.is_solvable(i, Inference.NONE)),
     ("backtracking-fc", lambda i: backtracking.is_solvable(i, Inference.FORWARD_CHECKING)),
@@ -72,20 +62,13 @@ DECIDERS = [
     ("join", join.is_solvable),
     ("join-indexed", lambda i: join.is_solvable(i, strategy="indexed")),
     ("join-scan", lambda i: join.is_solvable(i, strategy="scan")),
-    ("join-interned", lambda i: join.is_solvable(i, strategy="interned")),
     ("join-textbook-scan", lambda i: join.is_solvable(i, strategy="textbook+scan")),
-    ("join-smallest-interned", lambda i: join.is_solvable(
-        i, strategy="smallest+interned")),
     ("join-wcoj", lambda i: join.is_solvable(i, strategy="wcoj")),
     ("join-textbook-wcoj", lambda i: join.is_solvable(
         i, strategy="textbook+wcoj")),
     ("join-columnar", lambda i: join.is_solvable(i, strategy="columnar")),
     ("join-smallest-columnar", lambda i: join.is_solvable(
         i, strategy="smallest+columnar")),
-    ("join-parallel", lambda i: _forced_parallel(
-        lambda: join.is_solvable(i, strategy="parallel"))),
-    ("backtracking-mac-parallel", lambda i: backtracking.is_solvable(
-        i, Inference.MAC, workers=2)),
     ("decomposition", decomposition.is_solvable),
     ("consistency-k2", lambda i: consistency.is_solvable(i, 2)),
     ("consistency-k2-naive", lambda i: consistency.is_solvable(i, 2, strategy="naive")),
@@ -277,15 +260,11 @@ def test_mac_strategies_agree_and_solutions_valid(seed):
         solutions[strategy] = stats.solution
         if stats.solution is not None:
             assert norm.is_solution(stats.solution), f"{strategy}, seed {seed}"
-    solutions["parallel"] = backtracking.solve_with_stats(
-        inst, Inference.MAC, workers=2
-    ).solution
     assert (
         solutions["naive"]
         == solutions["residual"]
         == solutions["interned"]
         == solutions["columnar"]
-        == solutions["parallel"]
     ), f"seed {seed}"
 
 

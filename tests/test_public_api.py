@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.generators",
     "repro.io",
     "repro.telemetry",
-    "repro.parallel",
     "repro.service",
 ]
 
