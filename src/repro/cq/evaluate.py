@@ -12,14 +12,20 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.cq.query import Atom, ConjunctiveQuery, Var
-from repro.errors import VocabularyError
+from repro.errors import SchemaError, VocabularyError
 from repro.relational.algebra import join_all, project, semijoin
 from repro.relational.relation import Relation
 from repro.relational.stats import current_stats
 from repro.relational.structure import Structure
 from repro.telemetry.spans import span
 
-__all__ = ["atom_relation", "evaluate", "evaluate_boolean", "satisfying_assignments"]
+__all__ = [
+    "atom_relation",
+    "check_distinct_head",
+    "evaluate",
+    "evaluate_boolean",
+    "satisfying_assignments",
+]
 
 
 def atom_relation(atom: Atom, database: Structure) -> Relation:
@@ -38,13 +44,24 @@ def atom_relation(atom: Atom, database: Structure) -> Relation:
             f"predicate {atom.predicate!r} not in the database vocabulary"
         )
     return database.derived(
-        ("atom_relation", atom), lambda: _build_atom_relation(atom, database)
+        ("atom_relation", atom),
+        lambda: _build_atom_relation(atom, database.relation(atom.predicate)),
     )
 
 
-def _build_atom_relation(atom: Atom, database: Structure) -> Relation:
-    rows = database.relation(atom.predicate)
+def _build_atom_relation(atom: Atom, rows: frozenset[tuple]) -> Relation:
+    """The atom's relation over a predicate value ``rows``.
+
+    An *identity* atom — every term a distinct variable — has nothing to
+    filter or re-tuple, so its relation shares ``rows`` in O(1).  A
+    constant or a repeated variable keeps the filtered walk.  Either way
+    the rows come from an already-valid predicate value, so the output is
+    built trusted (no per-row arity check).
+    """
     variables = atom.variables()
+    names = tuple(v.name for v in variables)
+    if len(variables) == len(atom.terms):
+        return Relation.from_trusted_rows(names, rows)
     first_position = {v: atom.terms.index(v) for v in variables}
 
     def matches(row: tuple) -> bool:
@@ -61,7 +78,7 @@ def _build_atom_relation(atom: Atom, database: Structure) -> Relation:
         for row in rows
         if matches(row)
     )
-    return Relation(tuple(v.name for v in variables), out)
+    return Relation.from_trusted_rows(names, out)
 
 
 def _body_join(
@@ -185,6 +202,26 @@ def _yannakakis_reduce(relations: list[Relation]) -> list[Relation] | None:
     return reduced
 
 
+def check_distinct_head(query: ConjunctiveQuery) -> None:
+    """Raise :class:`~repro.errors.SchemaError` naming the first head
+    variable that occurs twice in ``query``'s head.
+
+    An answer relation has one column per head variable and column names
+    must be distinct, so a repeated head variable (``Q(X, X) :- …``) has
+    no answer relation.  Checking up front fails before any minimization
+    or join work is spent on such a query.
+    """
+    seen: set[Var] = set()
+    for v in query.distinguished:
+        if v in seen:
+            raise SchemaError(
+                f"head variable {v.name!r} occurs more than once in the head "
+                f"of query {query.head_name!r}; an answer relation needs "
+                "distinct head variables"
+            )
+        seen.add(v)
+
+
 def evaluate(
     query: ConjunctiveQuery, database: Structure, strategy: str | None = None
 ) -> Relation:
@@ -199,8 +236,10 @@ def evaluate(
     columnar execution when the reduced body holds at least
     :data:`COLUMNAR_AUTO_THRESHOLD` rows and numpy is available — while
     cyclic ones run the worst-case optimal leapfrog triejoin
-    (:mod:`repro.relational.wcoj`).
+    (:mod:`repro.relational.wcoj`).  A repeated head variable raises
+    :class:`~repro.errors.SchemaError` (see :func:`check_distinct_head`).
     """
+    check_distinct_head(query)
     with span(
         "cq.evaluate", query=query.head_name, strategy=strategy or "default"
     ) as sp:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from repro.cq.evaluate import _build_atom_relation
 from repro.cq.query import Atom, Var
 from repro.datalog.syntax import Program, Rule
 from repro.errors import VocabularyError
@@ -79,31 +80,7 @@ def _atom_to_relation(
         cached = cache.get((atom, value))
         if cached is not None:
             return cached
-    variables = atom.variables()
-    if len(variables) == len(atom.terms):
-        # Every term is a distinct variable (no constants to filter on, no
-        # repeats to equate), so the predicate's rows pass through
-        # unchanged and in order: share the frozenset instead of
-        # re-filtering and re-tupling every row.
-        relation = Relation.from_trusted_rows(
-            tuple(v.name for v in variables), value
-        )
-    else:
-        first = {v: atom.terms.index(v) for v in variables}
-
-        def matches(row: tuple) -> bool:
-            for i, term in enumerate(atom.terms):
-                if isinstance(term, Var):
-                    if row[i] != row[first[term]]:
-                        return False
-                elif row[i] != term:
-                    return False
-            return True
-
-        relation = Relation(
-            tuple(v.name for v in variables),
-            (tuple(row[first[v]] for v in variables) for row in value if matches(row)),
-        )
+    relation = _build_atom_relation(atom, value)
     if cache is not None:
         cache[(atom, value)] = relation
     return relation

@@ -7,7 +7,7 @@ the natural join (hash-join implementation) plus the standard companions —
 projection, selection, renaming, semijoin, and the set operations — which the
 acyclic-join and Yannakakis machinery in :mod:`repro.width` builds on.
 
-All operations are pure: they return new relations and never mutate inputs.
+All operations are pure: they never mutate inputs.
 
 Two cross-cutting facilities live alongside the operators:
 
@@ -77,6 +77,9 @@ def _resolve_execution(execution: str | None) -> str:
 def project(relation: Relation, attributes: Sequence[str]) -> Relation:
     """Project onto ``attributes`` (which may reorder columns).
 
+    Projecting onto the relation's own scheme returns the relation itself
+    (relations are immutable, so nothing is copied or re-scanned).
+
     >>> r = Relation(("x", "y"), [(1, 2), (1, 3)])
     >>> sorted(project(r, ("x",)).tuples)
     [(1,)]
@@ -85,12 +88,17 @@ def project(relation: Relation, attributes: Sequence[str]) -> Relation:
         stats = current_stats()
         start = perf_counter() if stats is not None else 0.0
         attrs = tuple(attributes)
-        indices = [relation.index_of(a) for a in attrs]
-        result = Relation(attrs, (tuple(t[i] for i in indices) for t in relation))
+        if attrs == relation.attributes:
+            result = relation
+        else:
+            indices = [relation.index_of(a) for a in attrs]
+            result = Relation.from_trusted_rows(
+                attrs, (tuple(t[i] for i in indices) for t in relation)
+            )
         if stats is not None:
             stats.record(
                 "project",
-                scanned=len(relation),
+                scanned=0 if result is relation else len(relation),
                 emitted=len(result),
                 seconds=perf_counter() - start,
             )
@@ -135,7 +143,7 @@ def select(relation: Relation, predicate: Callable[[Mapping[str, Any]], bool]) -
     attrs = relation.attributes
     index = {a: i for i, a in enumerate(attrs)}
     kept = (t for t in relation if predicate(_RowView(index, t)))
-    result = Relation(attrs, kept)
+    result = Relation.from_trusted_rows(attrs, kept)
     if stats is not None:
         stats.record(
             "select",
@@ -156,7 +164,7 @@ def rename(relation: Relation, mapping: Mapping[str, str]) -> Relation:
             f"renaming {dict(mapping)!r} collapses scheme "
             f"{relation.attributes!r} to non-distinct {new_attrs!r}"
         )
-    return Relation(new_attrs, relation.tuples)
+    return Relation.from_trusted_rows(new_attrs, relation.tuples)
 
 
 def _shared_and_private(
@@ -268,7 +276,7 @@ def _natural_join(left: Relation, right: Relation, execution: str) -> Relation:
                     if all(lt[i] == rt[j] for i, j in zip(left_key, right_key)):
                         yield lt + tuple(rt[i] for i in right_private_idx)
 
-        result = Relation(out_attrs, scan_rows())
+        result = Relation.from_trusted_rows(out_attrs, scan_rows())
         if stats is not None:
             stats.record(
                 "natural_join",
@@ -301,7 +309,7 @@ def _natural_join(left: Relation, right: Relation, execution: str) -> Relation:
                 for lt in bucket:
                     yield lt + tuple(pt[i] for i in right_private_idx)
 
-    result = Relation(out_attrs, indexed_rows())
+    result = Relation.from_trusted_rows(out_attrs, indexed_rows())
     if stats is not None:
         stats.record(
             "natural_join",
@@ -448,7 +456,9 @@ def _semijoin(left: Relation, right: Relation, execution: str) -> Relation:
                     return True
             return False
 
-        result = Relation(left.attributes, (t for t in left if scan_matches(t)))
+        result = Relation.from_trusted_rows(
+            left.attributes, (t for t in left if scan_matches(t))
+        )
         if stats is not None:
             stats.record(
                 "semijoin",
@@ -470,7 +480,9 @@ def _semijoin(left: Relation, right: Relation, execution: str) -> Relation:
         misses += 1
         return False
 
-    result = Relation(left.attributes, (t for t in left if indexed_matches(t)))
+    result = Relation.from_trusted_rows(
+        left.attributes, (t for t in left if indexed_matches(t))
+    )
     if stats is not None:
         stats.record(
             "semijoin",
@@ -496,19 +508,19 @@ def _require_same_scheme(left: Relation, right: Relation, op: str) -> None:
 def union(left: Relation, right: Relation) -> Relation:
     """Set union of two relations over the same scheme."""
     _require_same_scheme(left, right, "union")
-    return Relation(left.attributes, left.tuples | right.tuples)
+    return Relation.from_trusted_rows(left.attributes, left.tuples | right.tuples)
 
 
 def intersection(left: Relation, right: Relation) -> Relation:
     """Set intersection of two relations over the same scheme."""
     _require_same_scheme(left, right, "intersection")
-    return Relation(left.attributes, left.tuples & right.tuples)
+    return Relation.from_trusted_rows(left.attributes, left.tuples & right.tuples)
 
 
 def difference(left: Relation, right: Relation) -> Relation:
     """Set difference ``left - right`` of two relations over the same scheme."""
     _require_same_scheme(left, right, "difference")
-    return Relation(left.attributes, left.tuples - right.tuples)
+    return Relation.from_trusted_rows(left.attributes, left.tuples - right.tuples)
 
 
 def product(left: Relation, right: Relation) -> Relation:

@@ -182,7 +182,7 @@ class ColumnStore:
         ``column_store(r).to_relation() == r``)."""
         values = self.codec.values
         columns = self.columns
-        return Relation(
+        return Relation.from_trusted_rows(
             self.attributes,
             (tuple(values[col[i]] for col in columns) for i in range(self.nrows)),
         )
@@ -291,7 +291,7 @@ def mask_select(
                 for i, row in enumerate(store.rows)
                 if all(col[i] in allowed for col, allowed in tests)
             ]
-        result = Relation(relation.attributes, kept)
+        result = Relation.from_trusted_rows(relation.attributes, kept)
         if stats is not None:
             stats.record(
                 "select",
@@ -411,7 +411,9 @@ def batched_semijoin(left: Relation, right: Relation) -> Relation:
         store, [left.index_of(a) for a in key], index
     )
     rows = store.rows
-    result = Relation(left.attributes, (rows[i] for i in positions))
+    result = Relation.from_trusted_rows(
+        left.attributes, (rows[i] for i in positions)
+    )
     if stats is not None:
         stats.record(
             "semijoin",
@@ -468,7 +470,7 @@ def batched_natural_join(left: Relation, right: Relation) -> Relation:
                 for lt in lookup(p):
                     yield lt + tuple(pt[k] for k in right_private_idx)
 
-    result = Relation(out_attrs, joined())
+    result = Relation.from_trusted_rows(out_attrs, joined())
     if stats is not None:
         stats.record(
             "natural_join",
@@ -528,10 +530,12 @@ def project_distinct(relation: Relation, attributes: Sequence[str]) -> Relation:
                 tuple(values[c] for c in codes)
                 for codes in zip(*(col.tolist() for col in code_cols))
             ]
-            result = Relation(attrs, tuples)
+            result = Relation.from_trusted_rows(attrs, tuples)
         else:
             rows = store.rows
-            result = Relation(attrs, (tuple(t[j] for j in positions) for t in rows))
+            result = Relation.from_trusted_rows(
+                attrs, (tuple(t[j] for j in positions) for t in rows)
+            )
         if stats is not None:
             stats.record(
                 "project",
@@ -672,7 +676,7 @@ def join_all_columnar(pending: Sequence[Relation]) -> Relation:
 
     decode_start = perf_counter() if stats is not None else 0.0
     if not cur_attrs:
-        result = Relation((), [()] if cur_rows else [])
+        result = Relation.from_trusted_rows((), [()] if cur_rows else [])
     else:
         code_rows = zip(*(col.tolist() for col in cur_cols))
         if identity:
@@ -680,7 +684,7 @@ def join_all_columnar(pending: Sequence[Relation]) -> Relation:
         else:
             values = codec.values
             tuples = (tuple(values[c] for c in row) for row in code_rows)
-        result = Relation(cur_attrs, tuples)
+        result = Relation.from_trusted_rows(cur_attrs, tuples)
     if stats is not None:
         stats.record(
             "columnar_decode",

@@ -238,19 +238,23 @@ class Relation:
 
     @classmethod
     def from_trusted_rows(
-        cls, attributes: tuple[str, ...], rows: frozenset[tuple[Any, ...]]
+        cls, attributes: Sequence[str], rows: Iterable[tuple[Any, ...]]
     ) -> "Relation":
-        """Wrap an already-validated row set without copying it.
+        """Wrap rows derived from already-valid relations, skipping the
+        per-row arity check.
 
-        The caller vouches that ``attributes`` is a well-formed scheme and
-        every row in ``rows`` is a tuple of matching arity — the invariant a
-        :class:`~repro.relational.structure.Structure` maintains for its
-        predicate values.  The frozenset is shared, not copied, which is
-        what makes rebuilding an atom relation over an unchanged predicate
-        value O(1) instead of O(rows).
+        The scheme is still checked (O(arity)), so a duplicate or blank
+        attribute name raises :class:`~repro.errors.SchemaError`.  The
+        caller vouches that every row is a tuple of matching arity — true
+        of the rows of a :class:`~repro.relational.structure.Structure`
+        predicate and of every operator output built from valid operands.
+        A frozenset is shared, not copied, which is what makes rebuilding
+        an atom relation over an unchanged predicate value O(1) instead of
+        O(rows).  Constructors fed by user input use the validating
+        :class:`Relation` constructor instead.
         """
         relation = cls.__new__(cls)
-        relation._attributes = attributes
+        relation._attributes = _check_scheme(attributes)
         relation._tuples = rows if isinstance(rows, frozenset) else frozenset(rows)
         relation._hash = None
         relation._indexes = {}

@@ -413,7 +413,7 @@ def _leapfrog_join(
     scanned = 0
 
     def finish(rows: Iterable[tuple]) -> Relation:
-        result = Relation(out_attrs, rows)
+        result = Relation.from_trusted_rows(out_attrs, rows)
         if stats is not None:
             stats.record(
                 "leapfrog_join",
@@ -565,10 +565,12 @@ def _trie_semijoin(left: Relation, right: Relation) -> Relation:
         return True
 
     if size == 0:
-        result = Relation(left.attributes, ())
+        result = Relation.from_trusted_rows(left.attributes, ())
         misses = len(left)
     else:
-        result = Relation(left.attributes, (t for t in left if matches(t)))
+        result = Relation.from_trusted_rows(
+            left.attributes, (t for t in left if matches(t))
+        )
     if stats is not None:
         stats.record(
             "semijoin",

@@ -28,7 +28,7 @@ exactly the entries touching a dirty predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.cq.canonical import canonical_key
 from repro.cq.containment import are_equivalent
@@ -87,6 +87,7 @@ class _Entry:
     result: Relation
     predicates: frozenset[str]
     prefix_keys: dict[int, str]  # head-prefix length -> canonical key
+    reply_rows: list[tuple[Any, ...]] | None = None  # sorted once, on demand
 
 
 class ResultCache:
@@ -110,6 +111,9 @@ class ResultCache:
         self._by_key: dict[str, ConjunctiveQuery] = {}
         self._by_prefix: dict[tuple[str, int], ConjunctiveQuery] = {}
         self._by_predicate: dict[str, set[ConjunctiveQuery]] = {}
+        # id of an entry's result row set -> the entry (the row set is kept
+        # alive by the entry, so its id is not reused while mapped).
+        self._by_rows: dict[int, _Entry] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -173,7 +177,23 @@ class ResultCache:
         names = tuple(v.name for v in probe.distinguished)
         if result.attributes == names:
             return result
-        return Relation(names, result.tuples)
+        return Relation.from_trusted_rows(names, result.tuples)
+
+    def reply_rows(self, relation: Relation) -> list[tuple[Any, ...]]:
+        """``relation``'s rows in sorted order, for framing a reply.
+
+        A relation sharing a cached entry's row set — the stored result or
+        any hit renamed from it — gets the list sorted once and held on
+        that entry, so the list dies with the entry on invalidation or
+        eviction.  Any other relation is sorted afresh.  Callers must not
+        mutate the returned list.
+        """
+        entry = self._by_rows.get(id(relation.tuples))
+        if entry is None:
+            return sorted(relation.tuples)
+        if entry.reply_rows is None:
+            entry.reply_rows = sorted(relation.tuples)
+        return entry.reply_rows
 
     # -- store / invalidate ---------------------------------------------------
 
@@ -186,8 +206,6 @@ class ResultCache:
         distinguished = minimized.distinguished
         for k in range(len(distinguished)):
             prefix = distinguished[:k]
-            if len(set(prefix)) != len(prefix):
-                continue  # repeated head variable: projection is ambiguous
             prefix_query = ConjunctiveQuery(
                 minimized.head_name, prefix, minimized.body
             )
@@ -209,6 +227,7 @@ class ResultCache:
             self._by_key.setdefault(key, minimized)
         for k, pk in prefix_keys.items():
             self._by_prefix.setdefault((pk, k), minimized)
+        self._by_rows.setdefault(id(result.tuples), entry)
         for predicate in entry.predicates:
             self._by_predicate.setdefault(predicate, set()).add(minimized)
         self.stats.stores += 1
@@ -230,6 +249,7 @@ class ResultCache:
         self._by_key.clear()
         self._by_prefix.clear()
         self._by_predicate.clear()
+        self._by_rows.clear()
 
     def _drop(self, query: ConjunctiveQuery) -> None:
         entry = self._entries.pop(query, None)
@@ -240,6 +260,8 @@ class ResultCache:
         for k, pk in entry.prefix_keys.items():
             if self._by_prefix.get((pk, k)) == query:
                 del self._by_prefix[(pk, k)]
+        if self._by_rows.get(id(entry.result.tuples)) is entry:
+            del self._by_rows[id(entry.result.tuples)]
         for predicate in entry.predicates:
             holders = self._by_predicate.get(predicate)
             if holders is not None:

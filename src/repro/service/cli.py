@@ -125,7 +125,7 @@ def run_serve(
                     "op": "query",
                     "outcome": answer.outcome,
                     "attributes": list(answer.result.attributes),
-                    "rows": sorted(list(t) for t in answer.result.tuples),
+                    "rows": service.cache.reply_rows(answer.result),
                     "seconds": answer.seconds,
                 })
             elif op in ("insert", "delete"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.cq.containment import minimize
-from repro.cq.evaluate import evaluate
+from repro.cq.evaluate import check_distinct_head, evaluate
 from repro.cq.parser import parse_query
 from repro.cq.query import ConjunctiveQuery
 from repro.datalog.incremental import IncrementalEvaluation, UpdateReport
@@ -128,10 +128,12 @@ class QueryService:
         The query is minimized (its core computed) once; the cache is
         probed with the minimized form, and only a miss evaluates against
         the data — after which the result is stored for future equivalent
-        (or projectable) queries.
+        (or projectable) queries.  A repeated head variable raises
+        :class:`~repro.errors.SchemaError` before any of that work.
         """
         if isinstance(query, str):
             query = parse_query(query)
+        check_distinct_head(query)
         started = time.perf_counter()
         with span("service.query", head=query.head_name) as sp:
             minimized = minimize(query)

@@ -5,7 +5,7 @@ import pytest
 from repro.cq.evaluate import atom_relation, evaluate, evaluate_boolean, satisfying_assignments
 from repro.cq.parser import parse_atom, parse_query
 from repro.cq.query import Var
-from repro.errors import VocabularyError
+from repro.errors import SchemaError, VocabularyError
 from repro.relational.structure import Structure
 
 
@@ -85,3 +85,8 @@ class TestEvaluate:
     def test_empty_database(self):
         q = parse_query("Q(X) :- E(X, Y).")
         assert not evaluate(q, db([], nodes=[1]))
+
+
+def test_repeated_head_variable_raises_naming_it():
+    with pytest.raises(SchemaError, match="head variable 'X'"):
+        evaluate(parse_query("Q(X, X) :- E(X, Y)."), PATH)

@@ -13,7 +13,8 @@ from repro.service.cli import (
 )
 
 
-def serve_session(lines, **overrides):
+def serve_lines(lines, **overrides):
+    """The raw reply lines of one ``repro serve`` session."""
     parser = argparse.ArgumentParser()
     add_serve_arguments(parser)
     args = parser.parse_args([])
@@ -21,7 +22,11 @@ def serve_session(lines, **overrides):
         setattr(args, key, value)
     stdout = io.StringIO()
     run_serve(args, stdin=io.StringIO("\n".join(lines) + "\n"), stdout=stdout)
-    return [json.loads(line) for line in stdout.getvalue().splitlines()]
+    return stdout.getvalue().splitlines()
+
+
+def serve_session(lines, **overrides):
+    return [json.loads(line) for line in serve_lines(lines, **overrides)]
 
 
 def bench_args(**overrides):
@@ -119,3 +124,87 @@ def test_bench_jsonl_stream_validates():
     assert validate_events(events) == []
     names = {e.get("name") for e in events if e.get("type") == "span_open"}
     assert "service.query" in names and "service.update" in names
+
+
+def reframed(line, rows):
+    """``line`` re-encoded with the original framing of ``rows``: per-row
+    ``list`` copies sorted afresh, dumped with sorted keys."""
+    payload = dict(json.loads(line), rows=sorted(list(t) for t in rows))
+    return json.dumps(payload, sort_keys=True, default=repr)
+
+
+def test_serve_reply_bytes_match_fresh_framing_for_every_outcome():
+    lines = serve_lines([
+        '{"op": "insert", "predicate": "E", "rows": [[1, 2], [2, 3], [3, 1]]}',
+        '{"op": "query", "q": "Q(X, Y) :- T(X, Y)."}',
+        '{"op": "query", "q": "P(A, B) :- T(A, C), T(A, B)."}',
+        '{"op": "query", "q": "R(U) :- T(U, V)."}',
+        '{"op": "query", "q": "P(A, B) :- T(A, B)."}',
+    ])
+    closure = {(a, b) for a in (1, 2, 3) for b in (1, 2, 3)}
+    replies = [json.loads(line) for line in lines[1:]]
+    assert [r["outcome"] for r in replies] == [
+        "miss", "equivalence", "projection", "equivalence",
+    ]
+    expected = [closure, closure, {(1,), (2,), (3,)}, closure]
+    for line, rows in zip(lines[1:], expected):
+        assert line == reframed(line, rows)
+
+
+def test_serve_reply_after_update_carries_the_new_rows():
+    lines = serve_lines([
+        '{"op": "insert", "predicate": "E", "rows": [[1, 2]]}',
+        '{"op": "query", "q": "Q(X, Y) :- T(X, Y)."}',
+        '{"op": "query", "q": "P(A, B) :- T(A, B)."}',
+        '{"op": "insert", "predicate": "E", "rows": [[2, 3]]}',
+        '{"op": "query", "q": "P(A, B) :- T(A, B)."}',
+        '{"op": "query", "q": "Q(X, Y) :- T(X, Y)."}',
+        '{"op": "delete", "predicate": "E", "rows": [[1, 2]]}',
+        '{"op": "query", "q": "Q(X, Y) :- T(X, Y)."}',
+    ])
+    replies = [json.loads(line) for line in lines]
+    queries = [(r["outcome"], r["rows"]) for r in replies if r["op"] == "query"]
+    assert queries == [
+        ("miss", [[1, 2]]),
+        ("equivalence", [[1, 2]]),
+        ("miss", [[1, 2], [1, 3], [2, 3]]),
+        ("equivalence", [[1, 2], [1, 3], [2, 3]]),
+        ("miss", [[2, 3]]),
+    ]
+
+
+def test_serve_sorts_an_entry_once_across_hits(monkeypatch):
+    import builtins
+
+    import repro.service.cache as cache_module
+
+    calls = []
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(1)
+        return builtins.sorted(*args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "sorted", counting_sorted, raising=False)
+    replies = serve_session([
+        '{"op": "insert", "predicate": "E", "rows": [[1, 2], [2, 3]]}',
+        '{"op": "query", "q": "Q(X, Y) :- T(X, Y)."}',
+        '{"op": "query", "q": "P(A, B) :- T(A, B)."}',
+        '{"op": "query", "q": "R(U, V) :- T(U, V), T(U, W)."}',
+    ])
+    assert [r["outcome"] for r in replies[1:]] == [
+        "miss", "equivalence", "equivalence",
+    ]
+    assert len(calls) == 1
+    assert replies[1]["rows"] == replies[2]["rows"] == replies[3]["rows"]
+
+
+def test_serve_repeated_head_variable_gets_an_error_reply():
+    replies = serve_session([
+        '{"op": "insert", "predicate": "E", "rows": [[1, 2]]}',
+        '{"op": "query", "q": "Q(X, X) :- T(X, Y)."}',
+        '{"op": "query", "q": "Q(X, Y) :- T(X, Y)."}',
+    ])
+    assert replies[1]["ok"] is False
+    assert replies[1]["error"].startswith("SchemaError: head variable 'X'")
+    # The loop keeps serving.
+    assert replies[2]["ok"] is True and replies[2]["rows"] == [[1, 2]]

@@ -6,7 +6,8 @@ import pytest
 from repro.cq.evaluate import evaluate
 from repro.cq.parser import parse_query
 from repro.datalog.library import transitive_closure_program
-from repro.errors import DomainError, VocabularyError
+from repro.errors import DomainError, SchemaError, VocabularyError
+from repro.relational.relation import Relation
 from repro.service.core import QueryService
 
 EDGES = {(1, 2), (2, 3), (3, 4), (2, 5)}
@@ -93,3 +94,38 @@ def test_accepts_parsed_query_objects():
     svc = make_service()
     q = parse_query("Q(X, Y) :- T(X, Y).")
     assert svc.ask(q).result.tuples == svc.ask("P(A, B) :- T(A, B).").result.tuples
+
+
+def test_repeated_head_variable_fails_before_minimizing(monkeypatch):
+    import repro.service.core as core
+
+    def no_minimize(query):
+        raise AssertionError("minimize ran on a query with a repeated head")
+
+    monkeypatch.setattr(core, "minimize", no_minimize)
+    svc = make_service()
+    with pytest.raises(SchemaError, match="head variable 'X'"):
+        svc.ask("Q(X, X) :- T(X, Y).")
+    # Nothing was probed or stored: a repeated head never reaches the cache.
+    assert svc.cache.stats.lookups == 0
+    assert len(svc.cache) == 0
+
+
+def test_reply_rows_are_sorted_once_per_cache_entry():
+    svc = make_service()
+    miss = svc.ask("Q(X, Y) :- T(X, Y).")
+    rows = svc.cache.reply_rows(miss.result)
+    assert rows == sorted(miss.result.tuples)
+    hit = svc.ask("P(A, B) :- T(A, B).")
+    assert hit.outcome == "equivalence"
+    assert svc.cache.reply_rows(hit.result) is rows
+    # A relation that is not a cached result is sorted afresh.
+    other = Relation(("X", "Y"), miss.result.tuples)
+    assert svc.cache.reply_rows(other) == rows
+    assert svc.cache.reply_rows(other) is not rows
+    # Invalidation drops the entry and its sorted list with it.
+    svc.update(inserts={"E": {(4, 6)}})
+    fresh = svc.ask("P(A, B) :- T(A, B).")
+    assert fresh.outcome == "miss"
+    assert svc.cache.reply_rows(fresh.result) == sorted(fresh.result.tuples)
+    assert (4, 6) in svc.cache.reply_rows(fresh.result)
