@@ -71,22 +71,8 @@ def test_e3_residual_pruning_checks_fewer_groups(n):
 
 
 @pytest.mark.benchmark(group="E3 pruning strategies")
-@pytest.mark.parametrize("strategy", ["residual", "naive", "interned"])
+@pytest.mark.parametrize("strategy", ["residual", "naive"])
 def test_e3_pruning_strategy_timing(benchmark, strategy):
     a = graph_as_digraph_structure(cycle_graph(9))
     result = benchmark(lambda: solve_game(a, K2, 3, strategy=strategy))
     assert result.spoiler_wins
-
-
-@pytest.mark.parametrize("n", [7, 9])
-def test_e3_interned_pruning_matches_residual(n):
-    """The code-space pruning (small-int position pairs, numeric element
-    order) reaches the *identical* greatest fixpoint as the residual
-    strategy — the literal winning-strategy family, decoded back."""
-    from repro.games.pebble import largest_winning_strategy
-
-    a = graph_as_digraph_structure(cycle_graph(n))
-    for k in (2, 3):
-        assert largest_winning_strategy(a, K2, k, strategy="interned") == (
-            largest_winning_strategy(a, K2, k, strategy="residual")
-        ), f"n={n}, k={k}"

@@ -133,7 +133,7 @@ def test_e4_ac_residual_fewer_checks(family):
 
 
 @pytest.mark.benchmark(group="E4 SAC strategies")
-@pytest.mark.parametrize("strategy", ["residual", "naive", "interned"])
+@pytest.mark.parametrize("strategy", ["residual", "naive"])
 def test_e4_sac_strategy_timing(benchmark, strategy):
     """Wall-clock confirmation of the support-check savings on Horn-SAT."""
     instances = _e4_instances("horn")
@@ -146,28 +146,6 @@ def test_e4_sac_strategy_timing(benchmark, strategy):
 
     results = benchmark(run)
     assert all(r.stats is not None for r in results)
-
-
-@pytest.mark.parametrize("family", ["2sat", "horn"])
-def test_e4_interned_sac_matches_residual(family):
-    """The bitset engine computes the identical SAC fixpoint on the E4
-    workloads, answering revisions with word operations (``mask_ops``)
-    instead of per-row support checks.  (Measured, recorded in
-    EXPERIMENTS.md: 1.3× fewer membership ops than residual on 2-SAT;
-    0.7× on Horn, whose wide arity-3 rows favor stored supports — the
-    bitset win is a dense-domain phenomenon, guarded at ≥3× in
-    bench_micro_interning.py.)"""
-    instances = _e4_instances(family)
-    mask_ops = 0
-    for inst in instances:
-        res = singleton_arc_consistency(inst, strategy="residual")
-        with collect_propagation() as stats:
-            inter = singleton_arc_consistency(inst, strategy="interned")
-        mask_ops += stats.mask_ops
-        assert stats.intern_tables == 1
-        assert res.consistent == inter.consistent
-        assert res.domains == inter.domains
-    assert mask_ops > 0
 
 
 @pytest.mark.benchmark(group="E4 establishment")

@@ -8,12 +8,12 @@
   counters side by side (tuples scanned, hash probes, intermediate
   cardinalities, interning tables, mask operations, wall time).
   ``--workload propagation`` instead runs the §4/§5 fixpoint engines
-  (AC, SAC, the pebble game) under the ``naive``, ``residual``, and
-  ``interned`` strategies and prints
+  (AC, SAC, the pebble game) under the ``residual`` and ``naive``
+  strategies and prints
   :class:`~repro.consistency.propagation.PropagationStats` counters
-  (revisions, support checks, residual hits, trail restores, wipeouts,
-  intern tables, bitset words, mask ops).  With ``--json`` both report the
-  canonical :func:`repro.telemetry.payload` shape.
+  (revisions, support checks, residual hits, trail restores, wipeouts).
+  With ``--json`` both report the canonical
+  :func:`repro.telemetry.payload` shape.
 * ``python -m repro profile --workload {triangle,join,datalog,propagation,
   search}`` — run one workload under the span tracer and print the
   EXPLAIN-ANALYZE-style profile (per-operator durations, cardinalities,
@@ -218,14 +218,13 @@ def propagation_stats_command(args: argparse.Namespace) -> None:
     print(f"workload: propagation  ({len(workload)} runs, seed {args.seed})")
     header = (
         "strategy", "revisions", "checks", "hits", "hit-rate",
-        "restores", "wipeouts", "itabs", "words", "mask-ops", "seconds",
+        "restores", "wipeouts", "seconds",
     )
     print(" | ".join(str(c).ljust(10) for c in header))
     for strategy, (st, sec) in per_strategy.items():
         row = (
             strategy, st.revisions, st.support_checks, st.support_hits,
-            f"{st.hit_rate:.0%}", st.trail_restores, st.wipeouts,
-            st.intern_tables, st.bitset_words, st.mask_ops, f"{sec:.4f}",
+            f"{st.hit_rate:.0%}", st.trail_restores, st.wipeouts, f"{sec:.4f}",
         )
         print(" | ".join(str(c).ljust(10) for c in row))
 
@@ -406,11 +405,7 @@ def main(argv: list[str] | None = None) -> None:
             "or the consistency/pebble propagation workload (default: e1)"
         ),
     )
-    # "columnar" names both a join execution and a propagation strategy, so
-    # the combined choice list is deduplicated.
-    all_strategies = tuple(
-        dict.fromkeys(STRATEGIES + EXECUTIONS + PROPAGATION_STRATEGIES)
-    )
+    all_strategies = STRATEGIES + EXECUTIONS + PROPAGATION_STRATEGIES
     stats.add_argument(
         "--strategies",
         nargs="+",
@@ -419,7 +414,7 @@ def main(argv: list[str] | None = None) -> None:
         help=(
             "strategies to compare: join orders (greedy/smallest/textbook), "
             "join executions (indexed/scan/wcoj/columnar), "
-            "or propagation strategies (residual/naive/interned/columnar, "
+            "or propagation strategies (residual/naive, "
             "for --workload propagation); default: all"
         ),
     )

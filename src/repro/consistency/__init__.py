@@ -18,14 +18,11 @@ from repro.consistency.arc import (
 )
 from repro.consistency.propagation import (
     PROPAGATION_STRATEGIES,
-    ColumnarEngine,
-    InternedEngine,
     PropagationEngine,
     PropagationStats,
     Worklist,
     collect_propagation,
     current_propagation,
-    make_engine,
 )
 
 __all__ = [
@@ -35,9 +32,6 @@ __all__ = [
     "path_consistency",
     "singleton_arc_consistency",
     "PROPAGATION_STRATEGIES",
-    "ColumnarEngine",
-    "InternedEngine",
-    "make_engine",
     "PropagationEngine",
     "PropagationStats",
     "Worklist",

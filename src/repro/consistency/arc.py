@@ -18,17 +18,6 @@ the join backend's ``indexed``/``scan`` executions):
 * ``"naive"`` — the textbook rescan-everything fixpoints, kept as the
   differential-testing oracle (``tests/test_differential_matrix.py``
   checks bit-identical domains and verdicts between the two).
-* ``"interned"`` — the code-space kernels: domain values are interned to
-  dense int codes, per-variable domains become int bitmasks, and a revise
-  answers support questions with word operations
-  (:class:`~repro.consistency.propagation.InternedEngine`).  Domains in
-  results are decoded back to plain value sets, so callers see identical
-  output.
-* ``"columnar"`` — the interned code space with vectorized revisions:
-  each revise sweeps the constraint's whole column as a few numpy array
-  operations (:class:`~repro.consistency.propagation.ColumnarEngine`),
-  falling back to the interned bit loop when numpy is absent.  Same
-  fixpoint, same decoded domains.
 
 Both strategies are instrumented with
 :class:`~repro.consistency.propagation.PropagationStats`; results carry
@@ -41,13 +30,11 @@ from __future__ import annotations
 from typing import Any
 
 from repro.csp.instance import Constraint, CSPInstance
-from repro.relational.interning import decode_instance, encode_instance
 from repro.consistency.propagation import (
     PropagationEngine,
     PropagationStats,
     Worklist,
     check_propagation_strategy,
-    make_engine,
     publish,
 )
 
@@ -110,20 +97,16 @@ def ac3(instance: CSPInstance, strategy: str = "residual") -> ArcResult:
     counts revise operations that really examined rows — matching the
     counter's docstring.  ``"naive"`` is the seed implementation kept as
     the differential oracle, unbounded duplicate arc enqueueing included.
-    ``"interned"`` runs the same worklist over bitmask domains in code
-    space and decodes the result.
     """
     check_propagation_strategy(strategy)
     instance = instance.normalize()
     if strategy == "naive":
         domains, consistent, stats = _ac3_naive(instance)
     else:
-        engine: PropagationEngine = make_engine(instance, strategy)
+        engine = PropagationEngine(instance)
         stats = PropagationStats()
-        engine.charge_build(stats)
-        raw = engine.fresh_domains()
-        consistent = engine.propagate(raw, engine.full_worklist(), stats)
-        domains = engine.export_domains(raw)
+        domains = engine.fresh_domains()
+        consistent = engine.propagate(domains, engine.full_worklist(), stats)
     publish(stats)
     return ArcResult(domains, consistent, stats.revisions, stats)
 
@@ -213,16 +196,13 @@ def singleton_arc_consistency(
       rebuilt instance, iterated to fixpoint (the textbook SAC-1 shape);
     * ``"residual"`` — one shared AC fixpoint; each probe pins the
       variable and propagates only from its constraints, then rolls the
-      deletions back off a trail instead of rebuilding anything;
-    * ``"interned"`` — the residual probe loop, but over bitmask domains
-      in code space: a pin is one mask swap, a revise is word operations,
-      a rollback is one ``|=`` per trail entry.
+      deletions back off a trail instead of rebuilding anything.
     """
     check_propagation_strategy(strategy)
     instance = instance.normalize()
     if strategy == "naive":
         return _sac_naive(instance)
-    return _sac_engine(make_engine(instance, strategy))
+    return _sac_engine(PropagationEngine(instance))
 
 
 def _sac_naive(instance: CSPInstance) -> ArcResult:
@@ -259,56 +239,49 @@ def _sac_engine(engine: PropagationEngine) -> ArcResult:
     current instance restriction — so a probe for ``(variable, value)``
     only needs to propagate from the pinned variable's own constraints,
     and a failed probe's deletions are undone off the trail in O(deleted).
-
-    The loop drives the engine exclusively through the generic domain
-    protocol (``domain_values``/``contains``/``pin``/``discard``/…), so the
-    same code serves the set-based residual engine and the bitmask
-    :class:`~repro.consistency.propagation.InternedEngine`; both enumerate
-    values in the same canonical order, so the probe sequence — and hence
-    every counter except the representation-specific ones — lines up.
+    Values are probed in the canonical ``repr`` order the naive SAC uses,
+    precomputed once so each pass filters instead of sorting.
     """
     stats = PropagationStats()
-    engine.charge_build(stats)
     instance = engine.instance
+    ordered_domain = sorted(instance.domain, key=repr)
     domains = engine.fresh_domains()
     if not engine.propagate(domains, engine.full_worklist(), stats):
         publish(stats)
-        return ArcResult(engine.export_domains(domains), False, stats.revisions, stats)
+        return ArcResult(domains, False, stats.revisions, stats)
 
     changed = True
     while changed:
         changed = False
         for variable in instance.variables:
-            for value in engine.domain_values(domains, variable):
-                if not engine.contains(domains, variable, value):
+            current = domains[variable]
+            for value in [x for x in ordered_domain if x in current]:
+                if value not in domains[variable]:
                     continue  # pruned by a failed sibling probe's fallout
-                removed = engine.pin(domains, variable, value)
+                removed = domains[variable] - {value}
                 if not removed:
                     continue  # pinning a singleton domain changes nothing
-                trail: list[tuple[Any, Any]] = [(variable, removed)]
+                domains[variable] = {value}
+                trail: list[tuple[Any, set[Any]]] = [(variable, removed)]
                 ok = engine.propagate(
                     domains, engine.arcs_from([variable]), stats, trail=trail
                 )
                 engine.restore(domains, trail, stats)
                 if not ok:
-                    engine.discard(domains, variable, value)
+                    domains[variable].discard(value)
                     changed = True
-                    if engine.is_empty(domains, variable):
+                    if not domains[variable]:
                         stats.wipeouts += 1
                         publish(stats)
-                        return ArcResult(
-                            engine.export_domains(domains), False, stats.revisions, stats
-                        )
+                        return ArcResult(domains, False, stats.revisions, stats)
                     # Re-establish the shared AC fixpoint before probing on.
                     if not engine.propagate(
                         domains, engine.arcs_from([variable]), stats
                     ):
                         publish(stats)
-                        return ArcResult(
-                            engine.export_domains(domains), False, stats.revisions, stats
-                        )
+                        return ArcResult(domains, False, stats.revisions, stats)
     publish(stats)
-    return ArcResult(engine.export_domains(domains), True, stats.revisions, stats)
+    return ArcResult(domains, True, stats.revisions, stats)
 
 
 def _with_domains(
@@ -356,38 +329,15 @@ def path_consistency(
     input pair relations changed are re-run — and memoizes the last
     witness value per ``(pair tuple, third variable)``, re-verifying it in
     O(1) before scanning the domain.  ``strategy="naive"`` is the full
-    triple-sweep fixpoint.  ``strategy="interned"`` interns the instance to
-    dense int codes and runs the residual engine in code space (small-int
-    pair hashing), decoding the tightened instance at the boundary;
-    ``"columnar"`` takes the same code-space path (PC works on pair *sets*,
-    not domain bitmasks, so there is no column to sweep — the strategies
-    alias).  All compute the same (unique) strong-PC closure.
+    triple-sweep fixpoint.  Both compute the same (unique) strong-PC
+    closure.
     """
     check_propagation_strategy(strategy)
     stats = PropagationStats()
     try:
-        if strategy in ("interned", "columnar"):
-            return _path_consistency_interned(instance, stats)
         return _path_consistency(instance, strategy, stats)
     finally:
         publish(stats)
-
-
-def _path_consistency_interned(
-    instance: CSPInstance, stats: PropagationStats
-) -> CSPInstance | None:
-    """Run the residual PC engine over the int-encoded instance.
-
-    The strong-PC closure is unique, so tightening in code space and
-    decoding afterwards yields exactly the instance the plain residual
-    engine computes — only the working values differ (dense small ints,
-    whose pair tuples hash and compare cheaply).
-    """
-    instance = instance.normalize()
-    encoded, codec = encode_instance(instance)
-    stats.intern_tables += 1
-    result = _path_consistency(encoded, "residual", stats)
-    return None if result is None else decode_instance(result, codec)
 
 
 def _path_consistency(

@@ -44,8 +44,8 @@ def can_establish(
     """Whether strong k-consistency can be established for ``(A, B)`` —
     equivalently (Thm 5.6), whether the Duplicator wins the k-pebble game.
 
-    ``strategy`` selects the game's pruning engine (``"residual"``,
-    ``"naive"``, or ``"interned"``); all compute the same answer.
+    ``strategy`` selects the game's pruning engine (``"residual"`` or
+    ``"naive"``); both compute the same answer.
     """
     return solve_game(a, b, k, strategy=strategy).duplicator_wins
 

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Any, Container, Hashable, Iterable, Iterator
 
 from repro.csp.instance import Constraint, CSPInstance
-from repro.relational.interning import bit_positions, encode_instance
 from repro.relational.relation import Relation
 from repro.telemetry.registry import counter_delta, snapshot
 from repro.telemetry.spans import span
@@ -51,23 +50,16 @@ __all__ = [
     "current_propagation",
     "Worklist",
     "PropagationEngine",
-    "InternedEngine",
-    "ColumnarEngine",
-    "make_engine",
     "PROPAGATION_STRATEGIES",
     "check_propagation_strategy",
 ]
 
 #: The propagation strategies every §4/§5 fixpoint engine accepts:
-#: ``"residual"`` (the support-indexed default), ``"naive"`` (the
-#: rescan-everything baseline, kept as the differential-testing oracle —
-#: the same role ``execution="scan"`` plays in the join backend),
-#: ``"interned"`` (bitset domains over dense-int value codes; see
-#: :class:`InternedEngine`), and ``"columnar"`` (the same bitset domains,
-#: but with each revision sweeping the constraint's whole code-space
-#: column as one vectorized operation when numpy is available; see
-#: :class:`ColumnarEngine`).
-PROPAGATION_STRATEGIES: tuple[str, ...] = ("residual", "naive", "interned", "columnar")
+#: ``"residual"`` (the support-indexed default, :class:`PropagationEngine`)
+#: and ``"naive"`` (the rescan-everything baseline, kept as the
+#: differential-testing oracle — the same role ``execution="scan"`` plays
+#: in the join backend).
+PROPAGATION_STRATEGIES: tuple[str, ...] = ("residual", "naive")
 
 
 def check_propagation_strategy(strategy: str) -> str:
@@ -107,14 +99,6 @@ class PropagationStats:
     wipeouts:
         Domain (or pair-relation) wipeouts observed — each one is a proof
         of unsatisfiability of the probed instance.
-    intern_tables:
-        Value ↔ dense-int codec tables built by interned engines.
-    bitset_words:
-        64-bit words held by the bitset domain representation (variables ×
-        words-per-domain), charged once per interned engine build.
-    mask_ops:
-        Word-level membership operations performed by bitset revisions —
-        the interned counterpart of ``support_checks``.
     """
 
     revisions: int = 0
@@ -122,9 +106,6 @@ class PropagationStats:
     support_hits: int = 0
     trail_restores: int = 0
     wipeouts: int = 0
-    intern_tables: int = 0
-    bitset_words: int = 0
-    mask_ops: int = 0
 
     def merge(self, other: "PropagationStats") -> "PropagationStats":
         """Fold ``other``'s counters into this object (in place); return it."""
@@ -133,9 +114,6 @@ class PropagationStats:
         self.support_hits += other.support_hits
         self.trail_restores += other.trail_restores
         self.wipeouts += other.wipeouts
-        self.intern_tables += other.intern_tables
-        self.bitset_words += other.bitset_words
-        self.mask_ops += other.mask_ops
         return self
 
     def reset(self) -> None:
@@ -145,9 +123,6 @@ class PropagationStats:
         self.support_hits = 0
         self.trail_restores = 0
         self.wipeouts = 0
-        self.intern_tables = 0
-        self.bitset_words = 0
-        self.mask_ops = 0
 
     @property
     def hit_rate(self) -> float:
@@ -163,9 +138,6 @@ class PropagationStats:
             "trail_restores": self.trail_restores,
             "wipeouts": self.wipeouts,
             "hit_rate": self.hit_rate,
-            "intern_tables": self.intern_tables,
-            "bitset_words": self.bitset_words,
-            "mask_ops": self.mask_ops,
         }
 
     def summary(self) -> str:
@@ -177,9 +149,6 @@ class PropagationStats:
                 f"support hits    {self.support_hits} ({self.hit_rate:.0%})",
                 f"trail restores  {self.trail_restores}",
                 f"wipeouts        {self.wipeouts}",
-                f"intern tables   {self.intern_tables}",
-                f"bitset words    {self.bitset_words}",
-                f"mask ops        {self.mask_ops}",
             ]
         )
 
@@ -371,10 +340,8 @@ class PropagationEngine:
     """
 
     def __init__(self, instance: CSPInstance):
-        if not instance.is_normalized():
-            instance = instance.normalize()
+        instance = instance.normalize()
         self.instance = instance
-        self._ordered_domain = sorted(instance.domain, key=repr)
         self.constraints = [_ResidualConstraint(c) for c in instance.constraints]
         self.constraints_on: dict[Any, list[_ResidualConstraint]] = {
             v: [] for v in instance.variables
@@ -476,437 +443,3 @@ class PropagationEngine:
             variable, removed = trail.pop()
             domains[variable] |= removed
             stats.trail_restores += len(removed)
-
-    # -- generic domain protocol --------------------------------------------
-    #
-    # SAC and MAC drive either engine through these accessors, so the two
-    # domain representations (value sets here, bitmasks in InternedEngine)
-    # share one search/probe loop.  ``domain_values`` must enumerate in the
-    # canonical ``repr`` order both engines agree on.
-
-    def charge_build(self, stats: PropagationStats) -> None:
-        """Charge this engine's representation cost to ``stats`` (nothing
-        for the plain set engine; codec + bitset words for the interned one).
-        """
-
-    def domain_size(self, domains: dict[Any, Any], variable: Any) -> int:
-        return len(domains[variable])
-
-    def domain_values(self, domains: dict[Any, Any], variable: Any) -> list[Any]:
-        """The current domain in canonical (``repr``-sorted) order.
-
-        The instance-wide order is precomputed once, so per-call work is a
-        filter, not a sort.
-        """
-        current = domains[variable]
-        return [v for v in self._ordered_domain if v in current]
-
-    def contains(self, domains: dict[Any, Any], variable: Any, value: Any) -> bool:
-        return value in domains[variable]
-
-    def is_empty(self, domains: dict[Any, Any], variable: Any) -> bool:
-        return not domains[variable]
-
-    def pin(self, domains: dict[Any, Any], variable: Any, value: Any) -> Any:
-        """Narrow ``variable`` to ``{value}``; return what was removed.
-
-        Returns a falsy empty removal when the domain already was the
-        singleton.  The removal is the trail entry for :meth:`restore`.
-        """
-        removed = domains[variable] - {value}
-        if removed:
-            domains[variable] = {value}
-        return removed
-
-    def discard(self, domains: dict[Any, Any], variable: Any, value: Any) -> None:
-        domains[variable].discard(value)
-
-    def count(self, removed: Any) -> int:
-        """Number of values in a removal produced by revise/pin."""
-        return len(removed)
-
-    def export_domains(self, domains: dict[Any, Any]) -> dict[Any, set[Any]]:
-        """The domains as plain value sets (already are, for this engine)."""
-        return domains
-
-    def decode_assignment(self, assignment: dict[Any, Any]) -> dict[Any, Any]:
-        """A plain-value copy of a solver assignment (identity here)."""
-        return dict(assignment)
-
-
-class _BitsetConstraint:
-    """One code-space constraint prepared for bitset revision.
-
-    The relation's rows are tuples of dense int codes, so support questions
-    become word operations on int bitmasks:
-
-    * arity 1 — intersect the domain with the precomputed allowed mask;
-    * arity 2 — for each candidate value, one ``partner_mask & other_domain``
-      AND decides support (the partner masks are precomputed per value and
-      position);
-    * arity ≥ 3 — walk the per-(position, value) candidate rows testing each
-      entry with a ``(domain >> code) & 1`` bit probe.
-
-    Every word-level membership operation is counted in
-    ``PropagationStats.mask_ops`` — the interned analogue of the residual
-    engine's ``support_checks``.
-    """
-
-    __slots__ = ("scope", "arity", "position", "allowed_mask", "partner_masks", "candidates")
-
-    def __init__(self, constraint: Constraint, n_codes: int):
-        self.scope = constraint.scope
-        self.arity = constraint.arity
-        # Normalized scopes have distinct variables, so positions are unique.
-        self.position = {v: i for i, v in enumerate(self.scope)}
-        self.allowed_mask = 0
-        self.partner_masks: tuple[list[int], list[int]] | None = None
-        self.candidates: list[list[list[tuple[int, ...]]]] | None = None
-        rows = constraint.relation
-        if self.arity == 1:
-            mask = 0
-            for row in rows:
-                mask |= 1 << row[0]
-            self.allowed_mask = mask
-        elif self.arity == 2:
-            first = [0] * n_codes
-            second = [0] * n_codes
-            for a, b in rows:
-                first[a] |= 1 << b
-                second[b] |= 1 << a
-            self.partner_masks = (first, second)
-        else:
-            cand = [[[] for _ in range(n_codes)] for _ in range(self.arity)]
-            for row in rows:
-                for i, code in enumerate(row):
-                    cand[i][code].append(row)
-            self.candidates = cand
-
-    def revise(
-        self,
-        variable: Any,
-        domains: dict[Any, int],
-        stats: PropagationStats,
-    ) -> int:
-        """Remove and return (as a bitmask) the unsupported values of
-        ``variable`` — the bitset counterpart of
-        :meth:`_ResidualConstraint.revise`."""
-        position = self.position[variable]
-        current = domains[variable]
-        if not current:
-            return 0
-        stats.revisions += 1
-        if self.arity == 1:
-            stats.mask_ops += 1
-            new = current & self.allowed_mask
-        elif self.arity == 2:
-            other = domains[self.scope[1 - position]]
-            masks = self.partner_masks[position]
-            new = 0
-            ops = 0
-            m = current
-            while m:
-                low = m & -m
-                ops += 1
-                if masks[low.bit_length() - 1] & other:
-                    new |= low
-                m ^= low
-            stats.mask_ops += ops
-        else:
-            scope = self.scope
-            arity = self.arity
-            cand = self.candidates[position]
-            new = 0
-            ops = 0
-            m = current
-            while m:
-                low = m & -m
-                for row in cand[low.bit_length() - 1]:
-                    valid = True
-                    for i in range(arity):
-                        if i == position:
-                            continue
-                        ops += 1
-                        if not (domains[scope[i]] >> row[i]) & 1:
-                            valid = False
-                            break
-                    if valid:
-                        new |= low
-                        break
-                m ^= low
-            stats.mask_ops += ops
-        removed = current & ~new
-        if removed:
-            domains[variable] = new
-        return removed
-
-
-class InternedEngine(PropagationEngine):
-    """Generalized arc consistency over bitset domains in code space.
-
-    The instance's values are interned to dense int codes (in ``repr``
-    order, so ascending code order matches the plain engines' canonical
-    value order); each variable's domain becomes one int bitmask; and
-    revisions are word operations (:class:`_BitsetConstraint`).  The
-    worklist discipline, the propagate loop, and the trail protocol are
-    inherited unchanged from :class:`PropagationEngine` — a trail entry is
-    ``(variable, removed_mask)`` and restore is ``domains[v] |= mask``,
-    which is the same ``|=`` the set engine uses.
-
-    Callers that build one should charge ``intern_tables += 1`` and
-    ``bitset_words += engine.bitset_words`` to their stats object, so the
-    representation cost stays visible next to the ``mask_ops`` it buys.
-    """
-
-    def __init__(self, instance: CSPInstance):
-        if not instance.is_normalized():
-            instance = instance.normalize()
-        self.instance = instance
-        self.encoded, self.codec = encode_instance(instance)
-        n = len(self.codec)
-        self.full_mask = (1 << n) - 1
-        self.bitset_words = len(instance.variables) * ((n + 63) // 64 if n else 0)
-        self.constraints = [
-            _BitsetConstraint(c, n) for c in self.encoded.constraints
-        ]
-        self.constraints_on = {v: [] for v in instance.variables}
-        for bc in self.constraints:
-            for v in bc.scope:
-                self.constraints_on[v].append(bc)
-
-    def charge_build(self, stats: PropagationStats) -> None:
-        stats.intern_tables += 1
-        stats.bitset_words += self.bitset_words
-
-    def fresh_domains(self) -> dict[Any, int]:
-        """Full domains (all bits set) for every variable."""
-        return {v: self.full_mask for v in self.instance.variables}
-
-    @staticmethod
-    def restore(
-        domains: dict[Any, int],
-        trail: list[tuple[Any, int]],
-        stats: PropagationStats,
-    ) -> None:
-        """Undo every deletion recorded on ``trail`` (newest first)."""
-        while trail:
-            variable, removed = trail.pop()
-            domains[variable] |= removed
-            stats.trail_restores += removed.bit_count()
-
-    # -- generic domain protocol (bitmask versions) -------------------------
-
-    def domain_size(self, domains: dict[Any, int], variable: Any) -> int:
-        return domains[variable].bit_count()
-
-    def domain_values(self, domains: dict[Any, int], variable: Any) -> list[int]:
-        """The current domain codes ascending — the original ``repr`` order."""
-        return list(bit_positions(domains[variable]))
-
-    def contains(self, domains: dict[Any, int], variable: Any, value: int) -> bool:
-        return bool((domains[variable] >> value) & 1)
-
-    def pin(self, domains: dict[Any, int], variable: Any, value: int) -> int:
-        bit = 1 << value
-        removed = domains[variable] & ~bit
-        if removed:
-            domains[variable] = bit
-        return removed
-
-    def discard(self, domains: dict[Any, int], variable: Any, value: int) -> None:
-        domains[variable] &= ~(1 << value)
-
-    def count(self, removed: int) -> int:
-        return removed.bit_count()
-
-    def export_domains(self, domains: dict[Any, int]) -> dict[Any, set[Any]]:
-        """Decode the bitmask domains to plain value sets."""
-        return {v: self.codec.set_of(mask) for v, mask in domains.items()}
-
-    def decode_assignment(self, assignment: dict[Any, int]) -> dict[Any, Any]:
-        return {v: self.codec.decode(code) for v, code in assignment.items()}
-
-
-def _mask_to_bools(mask: int, nbits: int, np):
-    """An int bitmask as a numpy bool array of length ``nbits``."""
-    raw = np.frombuffer(mask.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:nbits].astype(bool)
-
-
-def _bools_to_mask(bools, np) -> int:
-    """A numpy bool array back into an int bitmask (little-endian bits)."""
-    return int.from_bytes(np.packbits(bools, bitorder="little").tobytes(), "little")
-
-
-class _ColumnarConstraint:
-    """One code-space constraint prepared for whole-column vectorized revision.
-
-    Where :class:`_BitsetConstraint` walks the candidate values of a
-    revision one bit at a time, this constraint sweeps the entire column at
-    once with numpy:
-
-    * arity 1 — unchanged: one AND with the precomputed allowed mask;
-    * arity 2 — the relation is a dense ``n×n`` support matrix per
-      position, bit-packed along the support axis (``np.packbits``, one
-      byte per 8 codes); a revision ANDs the packed matrix against the
-      other domain's mask *bytes* (taken straight from the Python int, no
-      unpacking) and reduces with ``any`` — one packed sweep answers all
-      candidate values together, touching an eighth of the memory a bool
-      matrix would;
-    * arity ≥ 3 — the rows live in one ``m×arity`` int64 matrix; a revision
-      gathers every non-revised column's domain membership in one fancy-
-      index pass, ANDs the row-validity vector, and scatters the surviving
-      rows' revised-position codes into the supported set.
-
-    ``PropagationStats.mask_ops`` counts the same logical membership work
-    the bitset engine counts (candidate values for arity ≤ 2, candidate
-    row-cells for arity ≥ 3), so the two engines stay comparable even
-    though the columnar one executes it as a handful of array operations.
-    """
-
-    __slots__ = (
-        "scope",
-        "arity",
-        "position",
-        "n_codes",
-        "n_bytes",
-        "allowed_mask",
-        "pair_bits",
-        "rows_matrix",
-        "_np",
-    )
-
-    def __init__(self, constraint: Constraint, n_codes: int, np):
-        self.scope = constraint.scope
-        self.arity = constraint.arity
-        # Normalized scopes have distinct variables, so positions are unique.
-        self.position = {v: i for i, v in enumerate(self.scope)}
-        self.n_codes = n_codes
-        self.n_bytes = (n_codes + 7) // 8
-        self._np = np
-        self.allowed_mask = 0
-        self.pair_bits = None
-        self.rows_matrix = None
-        rows = constraint.relation
-        if self.arity == 1:
-            mask = 0
-            for row in rows:
-                mask |= 1 << row[0]
-            self.allowed_mask = mask
-        elif self.arity == 2:
-            first = np.zeros(n_codes * n_codes, dtype=bool)
-            if rows:
-                first[
-                    np.fromiter(
-                        (a * n_codes + b for a, b in rows),
-                        dtype=np.int64,
-                        count=len(rows),
-                    )
-                ] = True
-            first = first.reshape(n_codes, n_codes)
-            # position 0 asks "value a supported by some b in the other
-            # domain"; position 1 is the transpose question.  Packing the
-            # support axis (little-endian bits, matching the int masks)
-            # makes the revision sweep a byte-AND instead of a bool-AND.
-            self.pair_bits = (
-                np.packbits(first, axis=1, bitorder="little"),
-                np.packbits(first.T, axis=1, bitorder="little"),
-            )
-        else:
-            self.rows_matrix = np.array(sorted(rows), dtype=np.int64).reshape(
-                len(rows), self.arity
-            )
-
-    def revise(
-        self,
-        variable: Any,
-        domains: dict[Any, int],
-        stats: PropagationStats,
-    ) -> int:
-        """Remove and return (as a bitmask) the unsupported values of
-        ``variable`` — same contract as :meth:`_BitsetConstraint.revise`."""
-        position = self.position[variable]
-        current = domains[variable]
-        if not current:
-            return 0
-        stats.revisions += 1
-        np = self._np
-        if self.arity == 1:
-            stats.mask_ops += 1
-            new = current & self.allowed_mask
-        elif self.arity == 2:
-            other_bytes = np.frombuffer(
-                domains[self.scope[1 - position]].to_bytes(self.n_bytes, "little"),
-                dtype=np.uint8,
-            )
-            supported = (self.pair_bits[position] & other_bytes).any(axis=1)
-            new = current & _bools_to_mask(supported, np)
-            stats.mask_ops += current.bit_count()
-        else:
-            rows = self.rows_matrix
-            if len(rows):
-                valid = np.ones(len(rows), dtype=bool)
-                for i in range(self.arity):
-                    if i == position:
-                        continue
-                    dom_bools = _mask_to_bools(
-                        domains[self.scope[i]], self.n_codes, np
-                    )
-                    valid &= dom_bools[rows[:, i]]
-                supported = np.zeros(self.n_codes, dtype=bool)
-                supported[rows[valid][:, position]] = True
-                new = current & _bools_to_mask(supported, np)
-                stats.mask_ops += len(rows) * (self.arity - 1)
-            else:
-                new = 0
-        removed = current & ~new
-        if removed:
-            domains[variable] = new
-        return removed
-
-
-class ColumnarEngine(InternedEngine):
-    """The interned bitset engine with vectorized whole-column revisions.
-
-    Everything about the code space is inherited from
-    :class:`InternedEngine` — the codec, the bitmask domains, the trail
-    protocol, the worklist discipline, and the generic domain protocol —
-    so the engine computes the *identical* fixpoint, including identical
-    partial domains on a wipeout and identical MAC search trees.  Only the
-    per-constraint :meth:`revise` changes: with numpy available the
-    constraints become :class:`_ColumnarConstraint` and each revision
-    sweeps the whole column in a few array operations instead of a
-    per-value bit loop.  Without numpy the engine *is* the interned engine
-    (the bitset constraints are kept), so ``strategy="columnar"`` degrades
-    transparently on numpy-free installs.
-    """
-
-    def __init__(self, instance: CSPInstance):
-        super().__init__(instance)
-        from repro.relational.columnar import numpy_backend
-
-        np = numpy_backend()
-        n = len(self.codec)
-        if np is not None and n:
-            self.constraints = [
-                _ColumnarConstraint(c, n, np) for c in self.encoded.constraints
-            ]
-            self.constraints_on = {v: [] for v in self.instance.variables}
-            for cc in self.constraints:
-                for v in cc.scope:
-                    self.constraints_on[v].append(cc)
-
-
-def make_engine(instance: CSPInstance, strategy: str) -> PropagationEngine:
-    """The propagation engine for a (validated) strategy name.
-
-    ``"interned"`` → :class:`InternedEngine`, ``"columnar"`` →
-    :class:`ColumnarEngine`, anything else (``"residual"``) → the plain
-    :class:`PropagationEngine`.  ``"naive"`` has no engine — callers route
-    it to their rescan-everything baseline before getting here.
-    """
-    if strategy == "columnar":
-        return ColumnarEngine(instance)
-    if strategy == "interned":
-        return InternedEngine(instance)
-    return PropagationEngine(instance)

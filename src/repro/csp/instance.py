@@ -195,8 +195,12 @@ class CSPInstance:
         Repeated variables in a scope are eliminated by keeping only rows of
         ``R`` that agree on the repeated positions and projecting out the
         duplicates; same-scope constraints are intersected.  The solution set
-        is preserved exactly.
+        is preserved exactly.  An already normalized instance is returned
+        as is: instances are immutable, so solvers that each normalize their
+        input share one object instead of rebuilding it.
         """
+        if self.is_normalized():
+            return self
         by_scope: dict[tuple[Any, ...], frozenset[tuple[Any, ...]]] = {}
         for c in self._constraints:
             scope, relation = _deduplicate_scope(c.scope, c.relation)

@@ -17,26 +17,15 @@ MAC takes the same ``strategy`` knob as the §5 consistency engines:
 :class:`~repro.consistency.propagation.PropagationEngine`, so residual
 supports and hash-index candidate lists persist across *all* nodes of the
 search, and per-node undo is a trail rollback instead of a full domain
-copy; ``"naive"`` is the seed AC-3, kept as the differential oracle;
-``"interned"`` maintains arc consistency through one shared
-:class:`~repro.consistency.propagation.InternedEngine` — domains are int
-bitmasks, a node's pin is one mask swap, propagation is word operations,
-and the trail holds ``(variable, removed_mask)`` pairs.  The search holds
-codes in its assignment and decodes the solution at the boundary.
-``"columnar"`` rides the same code space through one shared
-:class:`~repro.consistency.propagation.ColumnarEngine`, whose revisions
-sweep whole constraint columns as vectorized array operations when numpy
-is available (and degrade to the interned bit loop when it is not).
+copy; ``"naive"`` is the seed AC-3, kept as the differential oracle.
 Assigned variables carry singleton domains, so the engine's domains-only
 revisions coincide with the assignment-aware ones.
 
 Variable order is dynamic (minimum-remaining-values, ties by degree); value
 order is deterministic: both the tie-break rank of the variables and the
 canonical value order are precomputed once per solve, so no hot-loop
-``repr`` sorting remains, and the interned engine enumerates codes in
-ascending order — which is exactly the original values' ``repr`` order —
-so every strategy explores the identical search tree and returns the
-identical solution.  The solver records search statistics so benchmarks
+``repr`` sorting remains, and both strategies explore the identical search
+tree and return the identical solution.  The solver records search statistics so benchmarks
 can report node counts alongside wall-clock time; propagation counters
 accumulate in ``SearchStats.propagation``.
 """
@@ -48,11 +37,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.consistency.propagation import (
-    InternedEngine,
     PropagationEngine,
     PropagationStats,
     check_propagation_strategy,
-    make_engine,
     publish,
 )
 from repro.csp.instance import Constraint, CSPInstance
@@ -291,30 +278,19 @@ def _search_with_stats(
     # Hoisted tie-break rank: monotone with repr(v), so the MRV selection
     # below is identical to the historical per-node repr comparison.
     var_rank = {v: i for i, v in enumerate(sorted(instance.variables, key=repr))}
+    # Hoisted canonical value order: filtering it per node replaces the
+    # historical per-node ``sorted(domain, key=repr)``.
+    ordered_domain = sorted(instance.domain, key=repr)
 
     engine: PropagationEngine | None = None
     if inference is Inference.MAC and strategy != "naive":
-        engine = make_engine(instance, strategy)
-        engine.charge_build(prop)
-
-    if engine is not None:
-        domains: dict[Any, Any] = engine.fresh_domains()
+        engine = PropagationEngine(instance)
+        domains = engine.fresh_domains()
     else:
         domains = {v: set(instance.domain) for v in instance.variables}
-        # Hoisted canonical value order: filtering it per node replaces the
-        # historical per-node ``sorted(domain, key=repr)``.
-        ordered_domain = sorted(instance.domain, key=repr)
 
-    # In interned mode the assignment holds codes, so node-consistency checks
-    # must run against the code-space constraint relations.
-    search_constraints = (
-        engine.encoded.constraints
-        if isinstance(engine, InternedEngine)
-        else instance.constraints
-    )
-
-    def trailed_prunings(trail: list[tuple[Any, Any]]) -> int:
-        return sum(engine.count(removed) for _, removed in trail)
+    def trailed_prunings(trail: list[tuple[Any, set[Any]]]) -> int:
+        return sum(len(removed) for _, removed in trail)
 
     # Under tracing, nodes are grouped into "search.batch" spans of
     # NODE_BATCH_SIZE, rotated at node-increment time — when the trace
@@ -368,26 +344,18 @@ def _search_with_stats(
                     if not domains[var]:
                         return stats
 
-        if engine is not None:
-            def dsize(v: Any) -> int:
-                return engine.domain_size(domains, v)
-
-            def value_order(variable: Any) -> list[Any]:
-                return engine.domain_values(domains, variable)
-        else:
-            def dsize(v: Any) -> int:
-                return len(domains[v])
-
-            def value_order(variable: Any) -> list[Any]:
-                current = domains[variable]
-                return [x for x in ordered_domain if x in current]
+        def value_order(variable: Any) -> list[Any]:
+            current = domains[variable]
+            return [x for x in ordered_domain if x in current]
 
         def select_variable() -> Any:
             unassigned = [v for v in instance.variables if v not in assignment]
-            return min(unassigned, key=lambda v: (dsize(v), -degree[v], var_rank[v]))
+            return min(
+                unassigned, key=lambda v: (len(domains[v]), -degree[v], var_rank[v])
+            )
 
         def consistent(variable: Any) -> bool:
-            for c in search_constraints:
+            for c in instance.constraints:
                 if variable in c.scope and not c.consistent_with(assignment):
                     return False
             return True
@@ -404,7 +372,8 @@ def _search_with_stats(
                         # Trail-based undo: the assignment restriction is the
                         # first trail entry (not counted as a pruning), then
                         # the engine records every propagation deletion.
-                        trail = [(variable, engine.pin(domains, variable, value))]
+                        trail = [(variable, domains[variable] - {value})]
+                        domains[variable] = {value}
                         ok = engine.propagate(
                             domains,
                             engine.arcs_from([variable], skip=assignment),
@@ -439,11 +408,7 @@ def _search_with_stats(
         if traced:
             open_batch()
         if search():
-            stats.solution = (
-                engine.decode_assignment(assignment)
-                if engine is not None
-                else dict(assignment)
-            )
+            stats.solution = dict(assignment)
         return stats
     finally:
         close_batch()

@@ -41,8 +41,8 @@ def decide_homomorphism(
 ) -> Verdict:
     """Run the k-pebble game on ``(A, B)`` and report the verdict.
 
-    ``strategy`` selects the game's pruning engine (``"residual"``,
-    ``"naive"``, or ``"interned"``); all compute the same verdict.
+    ``strategy`` selects the game's pruning engine (``"residual"`` or
+    ``"naive"``); both compute the same verdict.
     """
     game = solve_game(a, b, k, strategy=strategy)
     if game.spoiler_wins:

@@ -27,11 +27,7 @@ deduplicating worklist core of :mod:`repro.consistency.propagation` and
 maintains a per-(function, element) count of surviving one-point
 extensions, so the forth-failure check is O(1) instead of re-scanning
 extension groups; ``"naive"`` is the seed implementation, kept as the
-differential oracle; ``"interned"`` interns both structures to dense int
-codes first (:mod:`repro.relational.interning`) so partial functions are
-frozensets of small-int pairs — cheap to hash, compare, and restrict —
-then runs the residual cascade in code space and decodes the surviving
-family at the boundary.  All are instrumented with
+differential oracle.  Both are instrumented with
 :class:`~repro.consistency.propagation.PropagationStats` (a ``revision``
 is one forth-check, a ``support check`` one extension-group inspection)
 and publish into any active
@@ -54,7 +50,6 @@ from repro.consistency.propagation import (
 )
 from repro.errors import DomainError, VocabularyError
 from repro.relational.homomorphism import is_partial_homomorphism
-from repro.relational.interning import encode_structure
 from repro.relational.structure import Structure
 
 __all__ = [
@@ -345,29 +340,6 @@ def largest_winning_strategy(
 
     stats = PropagationStats()
     try:
-        if strategy in ("interned", "columnar"):
-            # Run the whole game in code space: enumeration, pruning, and
-            # the delete cascade all manipulate frozensets of small-int
-            # pairs.  The greatest fixpoint is unique, so decoding the
-            # survivors yields exactly the residual strategy's family.
-            # ("columnar" aliases this path: the game state is a family of
-            # partial maps, not per-variable domains, so there is no column
-            # to sweep.)
-            enc_a, codec_a = encode_structure(a)
-            enc_b, codec_b = encode_structure(b)
-            stats.intern_tables += 2
-            family = _all_partial_homomorphisms(enc_a, enc_b, k)
-            # Codes ascend in the elements' original repr order, so the
-            # numeric sort visits elements exactly as the plain path does.
-            a_elems = sorted(enc_a.domain)
-            alive = _prune_residual(family, a_elems, k, stats)
-            if frozenset() not in alive:
-                stats.wipeouts += 1
-                return frozenset()
-            da, db = codec_a.decode, codec_b.decode
-            return frozenset(
-                frozenset((da(x), db(y)) for x, y in f) for f in alive
-            )
         family = _all_partial_homomorphisms(a, b, k)
         a_elems = sorted(a.domain, key=repr)
         if strategy == "naive":

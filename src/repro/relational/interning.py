@@ -2,8 +2,9 @@
 
 Every algorithm in the tutorial (Props 2.1/2.2, Theorems 4.3/5.2) is stated
 over abstract domains, so a bijective value ↔ int encoding is semantics-free:
-any structure or CSP instance can be mapped onto the domain ``0..n-1``, run
-through kernels that work on machine ints and bitmasks, and mapped back.
+any structure or relation fold can be mapped onto the domain ``0..n-1``,
+run through kernels that work on machine ints (the columnar and leapfrog
+joins, the i-consistency checks), and mapped back.
 The :class:`Codec` assigns codes in ``repr`` order, which makes ascending
 code order coincide with the ``repr``-keyed sorts the rest of the codebase
 uses for determinism — interned kernels can iterate numerically (or by
@@ -13,34 +14,18 @@ set-based paths.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.csp.instance import Constraint, CSPInstance
 from repro.errors import DomainError
 from repro.relational.structure import Structure
 
 __all__ = [
     "Codec",
-    "bit_positions",
     "fold_codec",
     "reset_fold_codecs",
     "encode_structure",
     "decode_structure",
-    "encode_instance",
-    "decode_instance",
 ]
-
-
-def bit_positions(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order.
-
-    Under a :class:`Codec` this is ascending code order, i.e. the original
-    ``repr`` order of the decoded values.
-    """
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class Codec:
@@ -76,11 +61,6 @@ class Codec:
         mutate it)."""
         return self._codes
 
-    @property
-    def full_mask(self) -> int:
-        """Bitmask with one bit set per interned value."""
-        return (1 << len(self._values)) - 1
-
     def encode(self, value: Any) -> int:
         try:
             return self._codes[value]
@@ -107,18 +87,6 @@ class Codec:
 
     def decode_row(self, row: Iterable[int]) -> Tuple[Any, ...]:
         return tuple(self.decode(c) for c in row)
-
-    def mask_of(self, values: Iterable[Any]) -> int:
-        """Bitmask of a subset of the interned universe."""
-        mask = 0
-        for value in values:
-            mask |= 1 << self.encode(value)
-        return mask
-
-    def set_of(self, mask: int) -> set:
-        """Decode a bitmask back to the value set it represents."""
-        values = self._values
-        return {values[c] for c in bit_positions(mask)}
 
     # Only the value tuple crosses a pickle boundary; the code dict is
     # derived state, rebuilt on arrival — halving the wire size of a
@@ -237,38 +205,3 @@ def decode_structure(structure: Structure, codec: Codec) -> Structure:
         relations,
     )
 
-
-def encode_instance(
-    instance: CSPInstance, codec: Optional[Codec] = None
-) -> Tuple[CSPInstance, Codec]:
-    """Rebuild ``instance`` over the dense-code domain; variables unchanged."""
-    if codec is None:
-        codec = Codec(instance.domain)
-    constraints = [
-        Constraint(c.scope, {codec.encode_row(row) for row in c.relation})
-        for c in instance.constraints
-    ]
-    encoded = CSPInstance(
-        instance.variables,
-        [codec.encode(v) for v in instance.domain],
-        constraints,
-    )
-    return encoded, codec
-
-
-def decode_instance(instance: CSPInstance, codec: Codec) -> CSPInstance:
-    """Invert :func:`encode_instance`."""
-    constraints = [
-        Constraint(c.scope, {codec.decode_row(row) for row in c.relation})
-        for c in instance.constraints
-    ]
-    return CSPInstance(
-        instance.variables,
-        [codec.decode(c) for c in instance.domain],
-        constraints,
-    )
-
-
-def decode_domains(domains: Dict[Any, int], codec: Codec) -> Dict[Any, set]:
-    """Decode per-variable bitmask domains to per-variable value sets."""
-    return {variable: codec.set_of(mask) for variable, mask in domains.items()}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.consistency.arc import ac3, path_consistency, singleton_arc_consistency
 from repro.consistency.propagation import (
     PROPAGATION_STRATEGIES,
     PropagationEngine,
@@ -12,8 +13,13 @@ from repro.consistency.propagation import (
     current_propagation,
     publish,
 )
+from repro.csp.convert import csp_to_homomorphism
 from repro.csp.instance import Constraint, CSPInstance
+from repro.csp.solvers import backtracking
 from repro.errors import SolverError
+from repro.games.pebble import solve_game
+from repro.generators.csp_random import coloring_instance
+from repro.generators.graphs import cycle_graph
 
 NE = {(0, 1), (1, 0)}
 
@@ -29,13 +35,42 @@ def chain_instance():
 
 class TestStrategyKnob:
     def test_known_strategies(self):
-        assert PROPAGATION_STRATEGIES == ("residual", "naive", "interned", "columnar")
+        assert PROPAGATION_STRATEGIES == ("residual", "naive")
         for s in PROPAGATION_STRATEGIES:
             assert check_propagation_strategy(s) == s
 
     def test_unknown_strategy_raises(self):
         with pytest.raises(SolverError, match="unknown propagation strategy"):
             check_propagation_strategy("ac2001")
+
+    @pytest.mark.parametrize("removed", ["interned", "columnar"])
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda inst, s: ac3(inst, strategy=s),
+            lambda inst, s: singleton_arc_consistency(inst, strategy=s),
+            lambda inst, s: path_consistency(inst, strategy=s),
+            lambda inst, s: solve_game(*csp_to_homomorphism(inst), 2, strategy=s),
+            lambda inst, s: backtracking.solve(inst, strategy=s),
+        ],
+        ids=["ac3", "sac", "path_consistency", "solve_game", "backtracking"],
+    )
+    def test_removed_strategies_raise_typed_error_naming_the_survivors(
+        self, entry_point, removed
+    ):
+        with pytest.raises(SolverError) as exc:
+            entry_point(chain_instance(), removed)
+        assert repr(removed) in str(exc.value)
+        assert str(PROPAGATION_STRATEGIES) in str(exc.value)
+
+    @pytest.mark.parametrize("colors", [3, 2], ids=["sat", "unsat"])
+    def test_naive_mac_search_returns_the_default_solution(self, colors):
+        """The csp-solve answer check of the repository benchmark solves
+        with ``strategy="naive"`` and compares against the default engine."""
+        inst = coloring_instance(cycle_graph(7), colors)
+        expected = backtracking.solve(inst)
+        assert backtracking.solve(inst, strategy="naive") == expected
+        assert (expected is not None) == (colors == 3)
 
 
 class TestWorklist:

@@ -129,6 +129,9 @@ class TestNormalization:
         twice = once.normalize()
         assert [c.scope for c in once.constraints] == [c.scope for c in twice.constraints]
         assert once.is_normalized()
+        # Instances are immutable: a normalized one is returned as is.
+        assert once is not inst
+        assert twice is once
 
 
 @st.composite
@@ -153,6 +156,7 @@ def test_normalize_preserves_solution_set(instance):
 
     norm = instance.normalize()
     assert norm.is_normalized()
+    assert norm.normalize() is norm
     for values in product([0, 1], repeat=len(instance.variables)):
         assignment = dict(zip(instance.variables, values))
         assert instance.is_solution(assignment) == norm.is_solution(assignment)

@@ -14,9 +14,7 @@ Two families of attack:
 
 * **numpy masking** — the stdlib fallback is not a separate implementation
   to trust but a differential peer: with ``numpy`` masked out of
-  ``sys.modules`` every kernel must produce the identical relation, and
-  the propagation engine must degrade to the interned bitset engine
-  (same fixpoints by construction, not by luck).
+  ``sys.modules`` every kernel must produce the identical relation.
 """
 
 import builtins
@@ -24,15 +22,6 @@ import sys
 
 import pytest
 
-from repro.consistency.propagation import (
-    ColumnarEngine,
-    InternedEngine,
-    PropagationStats,
-    _BitsetConstraint,
-    _ColumnarConstraint,
-    make_engine,
-)
-from repro.csp.instance import Constraint, CSPInstance
 from repro.relational.algebra import join_all, natural_join, select, semijoin
 from repro.relational.columnar import (
     batched_natural_join,
@@ -180,39 +169,3 @@ class TestNumpyAbsentFallback:
         store = column_store(rel)
         assert store.np_columns() is None
         assert store.to_relation() == rel
-
-    def test_columnar_engine_degrades_to_interned(self):
-        """Without numpy the ColumnarEngine keeps the inherited bitset
-        constraints — it *is* the interned engine, same fixpoint by
-        construction."""
-        inst = CSPInstance(
-            ["x", "y", "z"],
-            [0, 1, 2],
-            [
-                Constraint(("x", "y"), {(0, 1), (1, 2), (2, 0)}),
-                Constraint(("y", "z"), {(1, 2), (2, 0)}),
-                Constraint(("z",), [(2,)]),
-            ],
-        )
-        engine = make_engine(inst, "columnar")
-        assert isinstance(engine, ColumnarEngine)
-        assert all(isinstance(c, _BitsetConstraint) for c in engine.constraints)
-        domains = engine.fresh_domains()
-        assert engine.propagate(domains, engine.full_worklist(), PropagationStats())
-        interned = InternedEngine(inst)
-        expected = interned.fresh_domains()
-        interned.propagate(expected, interned.full_worklist(), PropagationStats())
-        assert domains == expected
-
-
-def test_columnar_engine_uses_vectorized_constraints_with_numpy():
-    """The counterpart pin: with numpy present the constraints really are
-    the vectorized kind (so the masking test above is exercising a genuine
-    degradation, not the only path)."""
-    if numpy_backend() is None:
-        pytest.skip("numpy not available")
-    inst = CSPInstance(
-        ["x", "y"], [0, 1], [Constraint(("x", "y"), {(0, 1), (1, 0)})]
-    )
-    engine = make_engine(inst, "columnar")
-    assert all(isinstance(c, _ColumnarConstraint) for c in engine.constraints)

@@ -64,17 +64,17 @@ def test_stats_json_carries_the_metricset_tag(capsys):
     assert payload["greedy"]["joins"] > 0
 
 
-def test_stats_interned_names_only_the_propagation_strategy(capsys):
-    """"interned" is a propagation strategy, not a join execution: a join
-    workload runs no rows for it, the propagation workload runs exactly it."""
-    cli.main(["stats", "--workload", "e1", "--strategies", "interned", "--json"])
-    assert json.loads(capsys.readouterr().out) == {}
-    cli.main(
-        ["stats", "--workload", "propagation", "--strategies", "interned", "--json"]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["interned"]
-    assert payload["interned"]["metricset"] == "propagation"
+def test_stats_rejects_the_removed_interned_strategy(capsys):
+    """"interned" named a propagation strategy that no longer exists, so
+    argparse refuses it (exit 2) on join and propagation workloads alike,
+    listing the propagation strategies that remain."""
+    for workload in ("e1", "propagation"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["stats", "--workload", workload, "--strategies", "interned"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'interned'" in err
+        assert "'residual', 'naive'" in err
 
 
 def test_propagation_stats_json_carries_the_metricset_tag(capsys):

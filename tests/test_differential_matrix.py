@@ -54,10 +54,6 @@ DECIDERS = [
     ("backtracking-mac", lambda i: backtracking.is_solvable(i, Inference.MAC)),
     ("backtracking-mac-naive", lambda i: backtracking.is_solvable(
         i, Inference.MAC, strategy="naive")),
-    ("backtracking-mac-interned", lambda i: backtracking.is_solvable(
-        i, Inference.MAC, strategy="interned")),
-    ("backtracking-mac-columnar", lambda i: backtracking.is_solvable(
-        i, Inference.MAC, strategy="columnar")),
     ("backjumping", backjumping.is_solvable),
     ("join", join.is_solvable),
     ("join-indexed", lambda i: join.is_solvable(i, strategy="indexed")),
@@ -72,10 +68,6 @@ DECIDERS = [
     ("decomposition", decomposition.is_solvable),
     ("consistency-k2", lambda i: consistency.is_solvable(i, 2)),
     ("consistency-k2-naive", lambda i: consistency.is_solvable(i, 2, strategy="naive")),
-    ("consistency-k2-interned", lambda i: consistency.is_solvable(
-        i, 2, strategy="interned")),
-    ("consistency-k2-columnar", lambda i: consistency.is_solvable(
-        i, 2, strategy="columnar")),
     ("portfolio", portfolio.is_solvable),
     ("hom-search", lambda i: homomorphism_exists(*csp_to_homomorphism(i))),
 ]
@@ -158,13 +150,11 @@ def _canonical_pc(instance):
 
 @pytest.mark.parametrize("seed", range(200))
 def test_propagation_strategies_identical(seed):
-    """The tentpole differential: residual-support and interned (bitset)
-    AC/SAC/PC must compute exactly what the naive seed implementations
-    compute — same verdicts always (wipeouts included), bit-identical
-    fixpoint domains whenever consistent.  (On a wipeout the *partial*
-    domains of any AC variant depend on worklist pop order, so only the
-    verdict is compared — except residual vs interned, which share the
-    worklist discipline and so agree even on partial wipeout domains.)
+    """The tentpole differential: residual-support AC/SAC/PC must compute
+    exactly what the naive seed implementations compute — same verdicts
+    always (wipeouts included), bit-identical fixpoint domains whenever
+    consistent.  (On a wipeout the *partial* domains of any AC variant
+    depend on worklist pop order, so only the verdict is compared.)
 
     The instance family mixes unary through ternary constraints, so the
     sweep covers generalized (non-binary) arc consistency too.
@@ -173,58 +163,22 @@ def test_propagation_strategies_identical(seed):
 
     ac_naive = ac3(inst, strategy="naive")
     ac_res = ac3(inst, strategy="residual")
-    ac_int = ac3(inst, strategy="interned")
-    ac_col = ac3(inst, strategy="columnar")
-    assert (
-        ac_naive.consistent
-        == ac_res.consistent
-        == ac_int.consistent
-        == ac_col.consistent
-    ), f"ac3 verdict, seed {seed}"
+    assert ac_naive.consistent == ac_res.consistent, f"ac3 verdict, seed {seed}"
     if ac_naive.consistent:
         assert ac_naive.domains == ac_res.domains, f"ac3 domains, seed {seed}"
-    assert ac_res.domains == ac_int.domains, f"ac3 interned domains, seed {seed}"
-    # The columnar engine inherits the interned worklist discipline, so its
-    # domains match even on partial wipeouts.
-    assert ac_int.domains == ac_col.domains, f"ac3 columnar domains, seed {seed}"
 
     sac_naive = singleton_arc_consistency(inst, strategy="naive")
     sac_res = singleton_arc_consistency(inst, strategy="residual")
-    sac_int = singleton_arc_consistency(inst, strategy="interned")
-    sac_col = singleton_arc_consistency(inst, strategy="columnar")
-    assert (
-        sac_naive.consistent
-        == sac_res.consistent
-        == sac_int.consistent
-        == sac_col.consistent
-    ), f"sac verdict, seed {seed}"
+    assert sac_naive.consistent == sac_res.consistent, f"sac verdict, seed {seed}"
     if sac_naive.consistent:
         assert sac_naive.domains == sac_res.domains, f"sac domains, seed {seed}"
-    assert sac_res.domains == sac_int.domains, f"sac interned domains, seed {seed}"
-    assert sac_int.domains == sac_col.domains, f"sac columnar domains, seed {seed}"
 
     from repro.consistency.arc import path_consistency
 
     pc_naive = path_consistency(inst, strategy="naive")
     pc_res = path_consistency(inst, strategy="residual")
-    pc_int = path_consistency(inst, strategy="interned")
-    pc_col = path_consistency(inst, strategy="columnar")
-    assert (pc_naive is None) == (pc_res is None) == (pc_int is None) == (
-        pc_col is None
-    ), f"pc verdict, seed {seed}"
+    assert (pc_naive is None) == (pc_res is None), f"pc verdict, seed {seed}"
     assert _canonical_pc(pc_naive) == _canonical_pc(pc_res), f"pc output, seed {seed}"
-    if pc_res is not None:
-        # The interned engine decodes back to the *identical* instance, not
-        # just a canonically-equal one — and "columnar" (which aliases the
-        # code-space PC path) matches it constraint for constraint.
-        assert pc_int.variables == pc_res.variables, f"pc vars, seed {seed}"
-        assert pc_int.domain == pc_res.domain, f"pc domain, seed {seed}"
-        assert set(pc_int.constraints) == set(pc_res.constraints), (
-            f"pc constraints, seed {seed}"
-        )
-        assert set(pc_col.constraints) == set(pc_int.constraints), (
-            f"pc columnar constraints, seed {seed}"
-        )
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -238,34 +192,23 @@ def test_pebble_strategies_identical(seed):
     for k in (1, 2):
         naive = largest_winning_strategy(a, b, k, strategy="naive")
         residual = largest_winning_strategy(a, b, k, strategy="residual")
-        interned = largest_winning_strategy(a, b, k, strategy="interned")
-        columnar = largest_winning_strategy(a, b, k, strategy="columnar")
         assert naive == residual, f"pebble k={k}, seed {seed}"
-        assert residual == interned, f"pebble interned k={k}, seed {seed}"
-        assert interned == columnar, f"pebble columnar k={k}, seed {seed}"
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_mac_strategies_agree_and_solutions_valid(seed):
-    """MAC search under all propagation strategies: same verdict, any
-    solution found must actually solve the instance, and all strategies
-    return the *identical* solution — they explore the same search tree
-    (the interned engine enumerates codes in ascending order, which is the
-    original values' repr order)."""
+    """MAC search under both propagation strategies: same verdict, any
+    solution found must actually solve the instance, and both strategies
+    return the *identical* solution — they explore the same search tree."""
     inst = random_instance(seed + 8000)
     norm = inst.normalize()
     solutions = {}
-    for strategy in ("naive", "residual", "interned", "columnar"):
+    for strategy in ("naive", "residual"):
         stats = backtracking.solve_with_stats(inst, Inference.MAC, strategy=strategy)
         solutions[strategy] = stats.solution
         if stats.solution is not None:
             assert norm.is_solution(stats.solution), f"{strategy}, seed {seed}"
-    assert (
-        solutions["naive"]
-        == solutions["residual"]
-        == solutions["interned"]
-        == solutions["columnar"]
-    ), f"seed {seed}"
+    assert solutions["naive"] == solutions["residual"], f"seed {seed}"
 
 
 @pytest.mark.parametrize("seed", range(15))
