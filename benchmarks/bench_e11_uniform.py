@@ -13,7 +13,7 @@ from repro.csp.convert import csp_to_homomorphism
 from repro.csp.solvers import backtracking
 from repro.csp.solvers.consistency import Verdict, decide_homomorphism
 from repro.generators.csp_random import csp_from_graph
-from repro.generators.graphs import cycle_graph, path_graph
+from repro.generators.graphs import path_graph
 
 
 def implication_instance(n, d):

@@ -13,7 +13,6 @@ from repro.consistency.arc import ac3, singleton_arc_consistency
 from repro.consistency.establish import establish_strong_k_consistency
 from repro.consistency.propagation import collect_propagation
 from repro.csp.convert import csp_to_homomorphism
-from repro.csp.solvers import brute
 from repro.csp.solvers.consistency import Verdict, solve_decision
 from repro.dichotomy.cnf import cnf_to_csp, dpll
 from repro.generators.csp_random import coloring_instance

@@ -12,7 +12,7 @@ import pytest
 
 from repro.csp.solvers import backtracking, decomposition
 from repro.csp.solvers.backtracking import Inference
-from repro.generators.csp_random import coloring_instance, csp_from_graph
+from repro.generators.csp_random import coloring_instance
 from repro.generators.graphs import cycle_graph, partial_ktree
 from repro.width.treedecomp import decomposition_of_instance
 

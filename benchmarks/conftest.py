@@ -7,8 +7,6 @@ from pytest-benchmark; the qualitative claims (agreement, who-wins, scaling
 shape) are asserted inside the benchmarks themselves.
 """
 
-import pytest
-
 
 def fmt_row(*cells) -> str:
     return " | ".join(str(c).ljust(12) for c in cells)

@@ -17,8 +17,7 @@
 * ``python -m repro profile --workload {triangle,join,datalog,propagation,
   search}`` — run one workload under the span tracer and print the
   EXPLAIN-ANALYZE-style profile (per-operator durations, cardinalities,
-  % of total); ``--jsonl`` emits the raw event stream instead.
-* ``python -m repro trace --jsonl`` — same trace, always as JSONL (the
+  % of total); ``--jsonl`` emits the raw event stream instead (the
   machine-readable form ``tools/validate_trace.py`` checks).
 * ``python -m repro serve`` — a resident
   :class:`~repro.service.core.QueryService` speaking line-oriented JSON on
@@ -39,7 +38,6 @@ import json
 
 def tour() -> None:
     from repro.csp.convert import csp_to_homomorphism
-    from repro.csp.instance import Constraint, CSPInstance
     from repro.csp.solvers import backtracking, consistency, decomposition, join
     from repro.csp.solvers.consistency import Verdict
     from repro.datalog.engine import goal_holds
@@ -363,25 +361,7 @@ def profile_command(args: argparse.Namespace) -> None:
     print(QueryProfile(trace).render())
 
 
-def trace_command(args: argparse.Namespace) -> None:
-    """``repro trace``: the profile trace, always as JSONL events."""
-    args.jsonl = True
-    profile_command(args)
-
-
 _PROFILE_WORKLOADS = ("triangle", "join", "datalog", "propagation", "search")
-
-
-def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workload", choices=_PROFILE_WORKLOADS, default="triangle",
-        help="which workload to trace (default: triangle)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="workload seed")
-    parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the JSONL event stream to FILE instead of stdout",
-    )
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -424,18 +404,18 @@ def main(argv: list[str] | None = None) -> None:
         "profile",
         help="trace one workload and print the span-tree profile",
     )
-    _add_profile_arguments(profile)
+    profile.add_argument(
+        "--workload", choices=_PROFILE_WORKLOADS, default="triangle",
+        help="which workload to trace (default: triangle)",
+    )
+    profile.add_argument("--seed", type=int, default=0, help="workload seed")
+    profile.add_argument(
+        "--out", default=None, metavar="FILE",
+        help="write the JSONL event stream to FILE instead of stdout",
+    )
     profile.add_argument(
         "--jsonl", action="store_true",
         help="emit the raw JSONL event stream instead of the rendered profile",
-    )
-    trace = sub.add_parser(
-        "trace", help="trace one workload and emit the JSONL event stream"
-    )
-    _add_profile_arguments(trace)
-    trace.add_argument(
-        "--jsonl", action="store_true",
-        help="accepted for symmetry; trace always emits JSONL",
     )
     from repro.service import cli as service_cli
 
@@ -457,8 +437,6 @@ def main(argv: list[str] | None = None) -> None:
         stats_command(args)
     elif args.command == "profile":
         profile_command(args)
-    elif args.command == "trace":
-        trace_command(args)
     elif args.command == "serve":
         service_cli.run_serve(args)
     elif args.command == "bench-service":

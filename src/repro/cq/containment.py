@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.cq.canonical import canonical_database
 from repro.cq.evaluate import evaluate
-from repro.cq.query import Atom, ConjunctiveQuery, Var
+from repro.cq.query import ConjunctiveQuery
 from repro.errors import DomainError
 from repro.relational.homomorphism import find_homomorphism
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable, Mapping
+from typing import Iterable
 
 from repro.cq.query import Atom, Var
 from repro.datalog.engine import goal_holds

@@ -1,10 +1,10 @@
-"""Incremental view maintenance: semi-naive insertion deltas, DRed and
-counting deletion.
+"""Incremental view maintenance: semi-naive insertion deltas and DRed
+deletion.
 
 A :class:`IncrementalEvaluation` keeps the least fixpoint of a Datalog
 program *materialized* while the EDB changes underneath it — the
 "millions of users, heavy traffic" regime where refixpointing from scratch
-per update is the dominant cost.  Three classical algorithms cooperate:
+per update is the dominant cost.  Two classical algorithms cooperate:
 
 * **Insertions** run the semi-naive delta closure
   (:func:`repro.datalog.engine.seminaive_closure`) seeded with the freshly
@@ -12,23 +12,18 @@ per update is the dominant cost.  Three classical algorithms cooperate:
   an update batch touches only the affected part of the fixpoint, and the
   persistent atom-relation cache keeps the warmed hash indexes of the
   unchanged predicates alive across batches.
-* **Deletions** under ``deletion="dred"`` use *delete-and-rederive*
-  (Gupta–Mumick–Subrahmanian): first an over-deletion pass propagates the
-  deleted facts through the rules against the pre-update state (anything
-  with a derivation using a deleted fact is provisionally removed), then a
-  rederivation pass re-proves the over-deleted facts that still have
-  support in the surviving state, and the insertion closure cascades the
-  rescues.  Facts whose only remaining "support" is a derivation cycle
-  through other deleted facts correctly stay dead.
-* **Deletions** under ``deletion="counting"`` maintain per-fact derivation
-  counts for non-recursive programs: each update batch is telescoped into
-  signed per-position delta joins, counts are adjusted, and a fact dies
-  exactly when its count reaches zero.  Counting is rejected for recursive
-  programs (a fact can participate in its own count — the classical
-  restriction), where DRed remains the safe default.
+* **Deletions** use *delete-and-rederive* (DRed, Gupta–Mumick–
+  Subrahmanian), which handles every program, recursive or not: first an
+  over-deletion pass propagates the deleted facts through the rules
+  against the pre-update state (anything with a derivation using a deleted
+  fact is provisionally removed), then a rederivation pass re-proves the
+  over-deleted facts that still have support in the surviving state, and
+  the insertion closure cascades the rescues.  Facts whose only remaining
+  "support" is a derivation cycle through other deleted facts correctly
+  stay dead.
 
-Every batch is traced: the ``datalog.update`` span carries the deletion
-mode and per-batch row deltas, and all joins charge the ambient
+Every batch is traced: the ``datalog.update`` span carries the batch
+number and per-batch row deltas, and all joins charge the ambient
 :class:`~repro.relational.stats.EvalStats` exactly as the from-scratch
 evaluators do.
 """
@@ -49,18 +44,15 @@ from repro.datalog.engine import (
     _warm_static_indexes,
     seminaive_closure,
 )
-from repro.datalog.syntax import Program, Rule
-from repro.errors import DomainError, VocabularyError
+from repro.datalog.syntax import Program
+from repro.errors import VocabularyError
 from repro.relational.algebra import join_all
-from repro.relational.planner import RelationProfile, parse_strategy
+from repro.relational.planner import RelationProfile
 from repro.relational.relation import Relation
 from repro.relational.structure import Structure, Vocabulary
 from repro.telemetry.spans import span
 
-__all__ = ["DELETION_MODES", "IncrementalEvaluation", "UpdateReport"]
-
-#: The deletion algorithms :class:`IncrementalEvaluation` accepts.
-DELETION_MODES = ("dred", "counting")
+__all__ = ["IncrementalEvaluation", "UpdateReport"]
 
 
 @dataclass(frozen=True)
@@ -274,33 +266,18 @@ class IncrementalEvaluation:
     database:
         The initial EDB (a :class:`~repro.relational.structure.Structure`
         or a ``{predicate: rows}`` mapping).
-    strategy:
-        Join order/execution passed through to the rule-body joins.
-    deletion:
-        ``"dred"`` (default, any program) or ``"counting"`` (non-recursive
-        programs only).
+
+    Rule bodies join with the engine defaults
+    (:data:`~repro.relational.algebra.DEFAULT_STRATEGY` order,
+    :data:`~repro.relational.algebra.DEFAULT_EXECUTION` execution).
     """
 
     def __init__(
         self,
         program: Program,
         database: Structure | Mapping[str, Any] | None = None,
-        strategy: str | None = None,
-        deletion: str = "dred",
     ):
-        if deletion not in DELETION_MODES:
-            raise DomainError(
-                f"unknown deletion mode {deletion!r}; expected one of {DELETION_MODES}"
-            )
-        if deletion == "counting" and program.is_recursive():
-            raise DomainError(
-                "counting-based deletion requires a non-recursive program "
-                "(a recursive fact can support its own derivation count); "
-                "use deletion='dred'"
-            )
         self._program = program
-        self._strategy = strategy
-        self._deletion = deletion
         self._idbs = program.idb_predicates()
         self._static = frozenset(program.edb_predicates())
         self._cache = _BoundedAtomCache()
@@ -317,7 +294,7 @@ class IncrementalEvaluation:
                     shapes.setdefault(atom.predicate, {})[atom] = None
         self._identity_atoms = {p: tuple(atoms) for p, atoms in shapes.items()}
         self._pools: dict[str, _PredicateIndexPool] = {}
-        with span("datalog.incremental.init", mode=deletion) as sp:
+        with span("datalog.incremental.init") as sp:
             values = _edb_facts(program, database or {})
             for idb in self._idbs:
                 values[idb] = frozenset()
@@ -327,7 +304,6 @@ class IncrementalEvaluation:
                     new = _apply_rule(
                         rule,
                         values,
-                        strategy=strategy,
                         cache=self._cache,
                         static=self._static,
                     )
@@ -338,15 +314,11 @@ class IncrementalEvaluation:
                 program,
                 values,
                 delta,
-                strategy=strategy,
                 cache=self._cache,
                 static=self._static,
             )
             self._values: Facts = values
             self._sync_pools()
-            self._counts: dict[str, dict[tuple, int]] | None = None
-            if deletion == "counting":
-                self._counts = self._recount()
             if sp:
                 sp.note(
                     rounds=rounds,
@@ -358,11 +330,6 @@ class IncrementalEvaluation:
     @property
     def program(self) -> Program:
         return self._program
-
-    @property
-    def deletion(self) -> str:
-        """The deletion algorithm in force (``"dred"`` or ``"counting"``)."""
-        return self._deletion
 
     @property
     def generation(self) -> int:
@@ -419,24 +386,17 @@ class IncrementalEvaluation:
         """
         ins = self._normalize(inserts)
         dels = self._normalize(deletes)
-        with span(
-            "datalog.update", mode=self._deletion, batch=self._generation
-        ) as sp:
+        with span("datalog.update", batch=self._generation) as sp:
             old = dict(self._values)
-            if self._deletion == "counting":
+            rounds = 0
+            if dels:
                 self._seed_pool_relations()
-                rounds = self._apply_counting(ins, dels)
+                rounds += self._apply_dred(dels)
                 self._sync_pools()
-            else:
-                rounds = 0
-                if dels:
-                    self._seed_pool_relations()
-                    rounds += self._apply_dred(dels)
-                    self._sync_pools()
-                if ins:
-                    self._seed_pool_relations()
-                    rounds += self._apply_inserts(ins)
-                    self._sync_pools()
+            if ins:
+                self._seed_pool_relations()
+                rounds += self._apply_inserts(ins)
+                self._sync_pools()
             report = self._report(old, rounds)
             if report.dirty:
                 self._structure = None
@@ -568,7 +528,6 @@ class IncrementalEvaluation:
             self._program,
             self._values,
             delta,
-            strategy=self._strategy,
             cache=self._cache,
             static=self._static,
         )
@@ -609,7 +568,6 @@ class IncrementalEvaluation:
                             old,
                             delta_atom_index=pos,
                             delta=delta_minus,
-                            strategy=self._strategy,
                             cache=self._cache,
                             static=self._static,
                         )
@@ -650,16 +608,13 @@ class IncrementalEvaluation:
                 for atom in rule.body
             ]
             relations = [head_restriction] + body
-            order, execution = parse_strategy(
-                self._strategy,
-                default_order=DEFAULT_STRATEGY,
-                default_execution=DEFAULT_EXECUTION,
+            _warm_static_indexes(
+                relations,
+                list(range(1, len(relations))),
+                DEFAULT_STRATEGY,
+                DEFAULT_EXECUTION,
             )
-            if execution in ("indexed", "columnar"):
-                _warm_static_indexes(
-                    relations, list(range(1, len(relations))), order, execution
-                )
-            joined = join_all(relations, strategy=self._strategy)
+            joined = join_all(relations)
             column = {a: i for i, a in enumerate(joined.attributes)}
             extractors = [
                 (
@@ -715,142 +670,8 @@ class IncrementalEvaluation:
                 self._program,
                 values,
                 delta,
-                strategy=self._strategy,
                 cache=self._cache,
                 static=self._static,
                 first_round=rounds,
             )
         return rounds
-
-    # -- counting maintenance -------------------------------------------------
-
-    def _recount(self) -> dict[str, dict[tuple, int]]:
-        """Derivation counts of every IDB fact under the current values."""
-        counts: dict[str, dict[tuple, int]] = {idb: {} for idb in self._idbs}
-        for rule in self._program.rules:
-            per_head = counts[rule.head.predicate]
-            sources = [
-                self._values.get(atom.predicate, frozenset()) for atom in rule.body
-            ]
-            for fact in self._rule_derivations(rule, sources):
-                per_head[fact] = per_head.get(fact, 0) + 1
-        return counts
-
-    def _rule_derivations(self, rule: Rule, sources: list[frozenset]) -> list[tuple]:
-        """Head facts of one rule, one per satisfying valuation of the body
-        (one entry per valuation — *not* deduplicated across valuations).
-        ``sources[i]`` is the row set body atom ``i`` reads."""
-        relations = [
-            _atom_to_relation(atom, source, self._cache)
-            for atom, source in zip(rule.body, sources)
-        ]
-        joined = join_all(relations, strategy=self._strategy)
-        return _head_facts(rule, joined)
-
-    def _apply_counting(self, inserts: Facts, deletes: Facts) -> int:
-        """Counting maintenance for non-recursive programs: telescope the
-        batch into signed per-position delta joins and adjust derivation
-        counts stratum by stratum."""
-        assert self._counts is not None
-        values = self._values
-        old = dict(values)
-        delta_plus: dict[str, frozenset] = {}
-        delta_minus: dict[str, frozenset] = {}
-        for predicate, rows in deletes.items():
-            gone = rows & values[predicate]
-            if gone:
-                values[predicate] = values[predicate] - gone
-                delta_minus[predicate] = gone
-        for predicate, rows in inserts.items():
-            new = rows - values[predicate]
-            if new:
-                values[predicate] = values[predicate] | new
-                delta_plus[predicate] = new
-
-        for idb in self._topological_idbs():
-            per_head = self._counts[idb]
-            signed: dict[tuple, int] = {}
-            for rule in self._program.rules:
-                if rule.head.predicate != idb:
-                    continue
-                # Δ(A₁ ⋈ … ⋈ Aₙ) = Σᵢ new₁‥newᵢ₋₁ ⋈ ΔAᵢ ⋈ oldᵢ₊₁‥oldₙ —
-                # each changed valuation is counted exactly once, at the
-                # first position where it reads a changed fact.  Sources
-                # are per *position*, so a predicate appearing both before
-                # and after position ``i`` reads its new value on the left
-                # and its old value on the right, as the identity requires.
-                for i, atom in enumerate(rule.body):
-                    plus = delta_plus.get(atom.predicate)
-                    minus = delta_minus.get(atom.predicate)
-                    if not plus and not minus:
-                        continue
-                    left = [
-                        values.get(a.predicate, frozenset())
-                        for a in rule.body[:i]
-                    ]
-                    right = [
-                        old.get(a.predicate, frozenset())
-                        for a in rule.body[i + 1 :]
-                    ]
-                    if plus:
-                        for fact in self._rule_derivations(
-                            rule, left + [plus] + right
-                        ):
-                            signed[fact] = signed.get(fact, 0) + 1
-                    if minus:
-                        for fact in self._rule_derivations(
-                            rule, left + [minus] + right
-                        ):
-                            signed[fact] = signed.get(fact, 0) - 1
-            added: set[tuple] = set()
-            removed: set[tuple] = set()
-            for fact, d in signed.items():
-                before = per_head.get(fact, 0)
-                after = before + d
-                if after < 0:
-                    raise DomainError(
-                        f"negative derivation count for {idb}{fact!r} — "
-                        "counting invariant violated"
-                    )
-                if after == 0:
-                    per_head.pop(fact, None)
-                else:
-                    per_head[fact] = after
-                if before == 0 and after > 0:
-                    added.add(fact)
-                elif before > 0 and after == 0:
-                    removed.add(fact)
-            if added or removed:
-                values[idb] = (values[idb] | added) - removed
-                if added:
-                    delta_plus[idb] = frozenset(added)
-                if removed:
-                    delta_minus[idb] = frozenset(removed)
-        return 1
-
-    def _topological_idbs(self) -> list[str]:
-        """IDB predicates ordered so that every body dependency precedes
-        its head (well-defined: counting mode rejects recursion)."""
-        deps = self._program.dependency_graph()
-        done: set[str] = set()
-        order: list[str] = []
-        pending = dict(deps)
-        while pending:
-            ready = sorted(p for p, d in pending.items() if d <= done)
-            for p in ready:
-                order.append(p)
-                done.add(p)
-                del pending[p]
-        return order
-
-
-def _head_facts(rule: Rule, joined) -> list[tuple]:
-    """Instantiate the rule head once per row of the joined body."""
-    attrs = joined.attributes
-    out = []
-    for row in joined:
-        env = dict(zip(attrs, row))
-        out.append(
-            tuple(env[t.name] if isinstance(t, Var) else t for t in rule.head.terms)
-        )
-    return out

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Any
 
 from repro.consistency.arc import ac3
-from repro.csp.instance import Constraint, CSPInstance
+from repro.csp.instance import CSPInstance
 from repro.dichotomy.cnf import CNF, two_sat
 from repro.dichotomy.schaefer import SchaeferClass, classify_instance
 from repro.errors import DomainError, SolverError

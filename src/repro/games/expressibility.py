@@ -21,7 +21,7 @@ k-expressibility.  Two uses:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro.games.pebble import duplicator_wins
 from repro.relational.structure import Structure

@@ -39,7 +39,6 @@ Partial functions are represented as ``frozenset`` s of ``(a, b)`` pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Any, Iterable, Iterator
 
 from repro.consistency.propagation import (

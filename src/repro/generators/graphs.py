@@ -8,7 +8,6 @@ All generators are deterministic given a seed; graphs come both as
 from __future__ import annotations
 
 import random
-from typing import Any
 
 from repro.relational.structure import Structure
 from repro.width.graph import Graph

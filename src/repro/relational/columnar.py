@@ -87,8 +87,9 @@ def numpy_backend():
     """The ``numpy`` module when importable, else ``None`` (cached).
 
     The columnar kernels consult this once per call; both answers produce
-    identical relations, so environments without numpy (the CI tier-1
-    matrix installs none) run the stdlib fallback transparently.
+    identical relations, so environments without numpy run the stdlib
+    fallback transparently.  That path is covered by the ``sys.modules``
+    masking wall in ``tests/relational/test_columnar_adversarial.py``.
     """
     global _numpy
     if _numpy is _UNSET:

@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.relational.homomorphism import (
-    all_homomorphisms,
-    find_homomorphism,
-    is_homomorphism,
-)
+from repro.relational.homomorphism import all_homomorphisms, find_homomorphism
 from repro.relational.structure import Structure
 
 __all__ = ["is_core", "core", "retract_to", "homomorphically_equivalent"]

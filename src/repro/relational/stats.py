@@ -246,7 +246,8 @@ class EvalStats:
         }
 
     def summary(self) -> str:
-        """A short human-readable report (used by ``python -m repro stats``)."""
+        """A short human-readable report of the counters, for interactive
+        inspection (``repro stats`` renders its own table)."""
         lines = [
             f"tuples scanned      {self.tuples_scanned}",
             f"hash probes         {self.hash_probes}",

@@ -40,14 +40,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--program", default=None, metavar="FILE",
         help="Datalog program file (default: the transitive-closure program)",
     )
-    parser.add_argument(
-        "--deletion", choices=("dred", "counting"), default="dred",
-        help="deletion algorithm for the maintenance plane (default: dred)",
-    )
-    parser.add_argument(
-        "--strategy", default=None,
-        help="join strategy for rule bodies and queries (default: auto)",
-    )
 
 
 def add_bench_service_arguments(parser: argparse.ArgumentParser) -> None:
@@ -98,11 +90,7 @@ def run_serve(
 
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    service = QueryService(
-        _load_program(args.program),
-        strategy=args.strategy,
-        deletion=args.deletion,
-    )
+    service = QueryService(_load_program(args.program))
 
     def respond(payload: dict) -> None:
         stdout.write(json.dumps(payload, sort_keys=True, default=repr) + "\n")

@@ -80,14 +80,12 @@ class QueryService:
         alike.
     database:
         Initial EDB facts (``{predicate: rows}``).
-    strategy:
-        Join strategy forwarded to both the maintenance plane and query
-        evaluation (``None``/"auto"/"wcoj"/...).
-    deletion:
-        Deletion algorithm for the maintenance plane (``"dred"`` or
-        ``"counting"``).
     cache_capacity / containment_probes:
         Forwarded to :class:`~repro.service.cache.ResultCache`.
+
+    Both planes join with the library defaults: the maintenance plane's
+    rule bodies as :class:`~repro.datalog.incremental.IncrementalEvaluation`
+    does, and cache misses through :func:`~repro.cq.evaluate.evaluate`.
     """
 
     def __init__(
@@ -95,15 +93,10 @@ class QueryService:
         program: Program,
         database: Mapping[str, Iterable[tuple]] | None = None,
         *,
-        strategy: str | None = None,
-        deletion: str = "dred",
         cache_capacity: int = 512,
         containment_probes: int = 8,
     ):
-        self._strategy = strategy
-        self._engine = IncrementalEvaluation(
-            program, database, strategy=strategy, deletion=deletion
-        )
+        self._engine = IncrementalEvaluation(program, database)
         self.cache = ResultCache(
             capacity=cache_capacity, containment_probes=containment_probes
         )
@@ -139,9 +132,7 @@ class QueryService:
             minimized = minimize(query)
             outcome, result = self.cache.lookup(minimized)
             if result is None:
-                result = evaluate(
-                    minimized, self._engine.as_structure(), strategy=self._strategy
-                )
+                result = evaluate(minimized, self._engine.as_structure())
                 self.cache.store(minimized, result)
             if sp:
                 sp.note(outcome=outcome, rows=len(result))

@@ -29,7 +29,7 @@ Typical use::
         rows = evaluate(query, db, strategy="auto")
     print(QueryProfile(trace).render())
 
-On the CLI: ``repro profile <workload>`` and ``repro trace --jsonl``.
+On the CLI: ``repro profile --workload <name> [--jsonl]``.
 """
 
 from __future__ import annotations

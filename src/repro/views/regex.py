@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import ParseError
 from repro.views.automata import NFA

@@ -25,13 +25,13 @@ matches the paper, where the reduction's size is governed by ``Q`` and
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Any
 
 from repro.errors import SolverError
 from repro.relational.homomorphism import homomorphism_exists
 from repro.relational.structure import Structure, Vocabulary
-from repro.views.automata import EPSILON, NFA
+from repro.views.automata import NFA
 from repro.views.certain import ViewSetup
 from repro.views.regex import Regex, regex_to_nfa
 

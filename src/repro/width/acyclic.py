@@ -160,6 +160,29 @@ def _constraint_relations(instance: CSPInstance) -> tuple[CSPInstance, list[Rela
     return normalized, constraint_relations(normalized)
 
 
+def _bottom_up_pass(
+    relations: list[Relation], execution: str | None
+) -> tuple[list[Relation], list[int], dict[int, list[int]]] | None:
+    """Yannakakis' bottom-up pass over the join tree of the relations'
+    scopes: leaves first, each relation is semijoin-reduced by its children.
+
+    Returns the reduced relations with the leaves-first order and the
+    children lists, or ``None`` as soon as a relation empties.
+    """
+    tree = join_tree([frozenset(r.attributes) for r in relations])
+    order = tree.topological_order()
+    children = tree.children()
+    reduced = list(relations)
+    for node in order:
+        for child in children[node]:
+            reduced[node] = semijoin(
+                reduced[node], reduced[child], execution=execution
+            )
+        if not reduced[node]:
+            return None
+    return reduced, order, children
+
+
 def yannakakis_is_solvable(
     instance: CSPInstance, *, execution: str | None = None
 ) -> bool:
@@ -178,19 +201,7 @@ def yannakakis_is_solvable(
     normalized, relations = _constraint_relations(instance)
     if not normalized.constraints:
         return not normalized.variables or bool(normalized.domain)
-    scopes = [frozenset(r.attributes) for r in relations]
-    tree = join_tree(scopes)
-
-    reduced = list(relations)
-    for node in tree.topological_order():
-        for child, par in tree.parent.items():
-            if par == node:
-                reduced[node] = semijoin(
-                    reduced[node], reduced[child], execution=execution
-                )
-        if not reduced[node]:
-            return False
-    return all(bool(reduced[r]) for r in tree.roots)
+    return _bottom_up_pass(relations, execution) is not None
 
 
 def yannakakis_solve(
@@ -214,19 +225,10 @@ def yannakakis_solve(
             return None
         return {v: domain[0] for v in normalized.variables}
 
-    scopes = [frozenset(r.attributes) for r in relations]
-    tree = join_tree(scopes)
-    reduced = list(relations)
-
-    bottom_up = tree.topological_order()
-    children = tree.children()
-    for node in bottom_up:
-        for child in children[node]:
-            reduced[node] = semijoin(
-                reduced[node], reduced[child], execution=execution
-            )
-        if not reduced[node]:
-            return None
+    passed = _bottom_up_pass(relations, execution)
+    if passed is None:
+        return None
+    reduced, bottom_up, children = passed
     for node in reversed(bottom_up):  # top-down
         for child in children[node]:
             reduced[child] = semijoin(

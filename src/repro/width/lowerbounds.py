@@ -17,7 +17,6 @@ exact value in tests, and seed the exact search's pruning.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Any
 
 from repro.width.graph import Graph

@@ -1,8 +1,8 @@
 """The incremental-maintenance differential wall: after *any* interleaved
 stream of insert/delete batches, the maintained fixpoint equals
 ``evaluate_seminaive`` recomputed from scratch on the final EDB — for DRed
-on recursive programs, counting on non-recursive ones, and batches that
-kill and rederive facts through alternative supports."""
+on recursive and non-recursive programs alike, and batches that kill and
+rederive facts through alternative supports."""
 
 import random
 
@@ -15,11 +15,12 @@ from repro.datalog.library import (
     transitive_closure_program,
 )
 from repro.datalog.parser import parse_program
-from repro.errors import DomainError, VocabularyError
+from repro.errors import VocabularyError
 
 TC = transitive_closure_program()
 
-#: A non-recursive program (two-hop + marker join) for the counting mode.
+#: A non-recursive program (two-hop + marker join): every IDB fact is one
+#: or two joins away from the EDB, so deletions cascade through strata.
 NONREC = parse_program(
     """
     H(X, Z) :- E(X, Y), E(Y, Z).
@@ -66,7 +67,7 @@ def random_stream(rng, nodes, n_batches, predicates=("E",), arity=2):
 @pytest.mark.parametrize("seed", range(100))
 def test_dred_matches_from_scratch_on_transitive_closure(seed):
     rng = random.Random(seed)
-    inc = IncrementalEvaluation(TC, {}, deletion="dred")
+    inc = IncrementalEvaluation(TC, {})
     batches, state = random_stream(rng, nodes=7, n_batches=6)
     for inserts, deletes in batches:
         inc.apply(inserts, deletes)
@@ -76,9 +77,9 @@ def test_dred_matches_from_scratch_on_transitive_closure(seed):
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_counting_matches_from_scratch_on_nonrecursive(seed):
+def test_dred_matches_from_scratch_on_nonrecursive(seed):
     rng = random.Random(1000 + seed)
-    inc = IncrementalEvaluation(NONREC, {}, deletion="counting")
+    inc = IncrementalEvaluation(NONREC, {})
     batches, state = random_stream(
         rng, nodes=6, n_batches=5, predicates=("E",)
     )
@@ -98,7 +99,7 @@ def test_dred_matches_from_scratch_on_odd_walks(seed):
     longer joins, exercising multi-delta rules under deletion."""
     program = non_two_colorability_program()
     rng = random.Random(2000 + seed)
-    inc = IncrementalEvaluation(program, {}, deletion="dred")
+    inc = IncrementalEvaluation(program, {})
     batches, state = random_stream(rng, nodes=5, n_batches=4)
     for inserts, deletes in batches:
         inc.apply(inserts, deletes)
@@ -109,9 +110,7 @@ def test_dred_matches_from_scratch_on_odd_walks(seed):
 def test_kill_and_rederive_through_alternative_support():
     """Deleting one edge of a diamond kills nothing reachable via the other
     path: DRed over-deletes, then rederivation rescues."""
-    inc = IncrementalEvaluation(
-        TC, {"E": {(0, 1), (1, 3), (0, 2), (2, 3)}}, deletion="dred"
-    )
+    inc = IncrementalEvaluation(TC, {"E": {(0, 1), (1, 3), (0, 2), (2, 3)}})
     assert (0, 3) in inc.value("T")
     report = inc.apply(deletes={"E": {(1, 3)}})
     # (0,3) survives via 0→2→3; (1,3) the T-fact dies with its only edge.
@@ -156,16 +155,6 @@ def test_delete_then_insert_same_fact_in_one_batch_keeps_it():
     assert (1, 2) in inc.value("E")
     assert (1, 2) in inc.value("T")
     assert report.dirty == frozenset()
-
-
-def test_counting_rejects_recursive_programs():
-    with pytest.raises(DomainError):
-        IncrementalEvaluation(TC, {}, deletion="counting")
-
-
-def test_unknown_deletion_mode_rejected():
-    with pytest.raises(DomainError):
-        IncrementalEvaluation(TC, {}, deletion="magic")
 
 
 def test_updates_must_target_edb_predicates():

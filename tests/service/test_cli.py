@@ -4,6 +4,9 @@ import argparse
 import io
 import json
 
+import pytest
+
+import repro.__main__ as main_cli
 from repro.service.cli import (
     add_bench_service_arguments,
     add_serve_arguments,
@@ -80,6 +83,23 @@ def test_serve_reports_errors_without_dying():
 def test_serve_skips_blank_lines():
     responses = serve_session(["", '{"op": "stats"}', "   ", '{"op": "quit"}'])
     assert len(responses) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--strategy", "auto"], ["--deletion", "counting"]],
+    ids=["strategy", "deletion"],
+)
+def test_serve_has_no_algorithm_flags(flags, capsys):
+    """``repro serve`` runs the one maintenance path with the default join
+    strategy; naming an algorithm is an argparse usage error, before any
+    request is read."""
+    with pytest.raises(SystemExit) as exc:
+        main_cli.main(["serve", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro")
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 def test_bench_report_shape_and_consistency():

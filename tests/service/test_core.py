@@ -6,7 +6,7 @@ import pytest
 from repro.cq.evaluate import evaluate
 from repro.cq.parser import parse_query
 from repro.datalog.library import transitive_closure_program
-from repro.errors import DomainError, SchemaError, VocabularyError
+from repro.errors import SchemaError, VocabularyError
 from repro.relational.relation import Relation
 from repro.service.core import QueryService
 
@@ -75,13 +75,6 @@ def test_query_over_edb_and_idb_predicates():
     two_hop = svc.query("Q(X, Z) :- E(X, Y), E(Y, Z).")
     assert (1, 3) in two_hop.tuples
     assert (1, 4) not in two_hop.tuples
-
-
-def test_constructor_validation_propagates():
-    with pytest.raises(DomainError):
-        make_service(deletion="counting")  # TC is recursive
-    with pytest.raises(DomainError):
-        make_service(deletion="nonsense")
 
 
 def test_update_validation_propagates():

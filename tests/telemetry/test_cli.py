@@ -1,4 +1,5 @@
-"""The profile/trace CLI subcommands and the payload-shaped stats --json."""
+"""The profile CLI subcommand (rendered and JSONL) and the payload-shaped
+stats --json."""
 
 import json
 
@@ -39,7 +40,8 @@ def test_profile_jsonl_stream_parses_and_reaggregates(capsys):
 
 
 def test_trace_always_emits_jsonl(capsys):
-    cli.main(["trace", "--workload", "triangle"])
+    """``profile --jsonl`` is the one way to get the JSONL trace."""
+    cli.main(["profile", "--workload", "triangle", "--jsonl"])
     events = parse_jsonl(capsys.readouterr().out.splitlines())
     assert any(
         e.get("type") == "span_open" and e.get("name") == "leapfrog_join"

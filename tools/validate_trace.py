@@ -2,8 +2,8 @@
 """Standalone JSONL trace validator (no repro import).
 
 Reads a trace event stream from stdin (or the files given as arguments)
-and checks the schema that ``repro profile --jsonl`` / ``repro trace``
-emit: known event types with required keys, spans opened before they emit
+and checks the schema that ``repro profile --jsonl`` (and ``repro
+bench-service --jsonl``) emit: known event types with required keys, spans opened before they emit
 counters or close, properly nested (LIFO) closes, every span closed
 exactly once.  Exits 0 on a well-formed stream, 1 otherwise, printing
 each problem on stderr — the CI profile-smoke step pipes the CLI output
